@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 law failures, 2 usage errors (bad syntax, bad
-mode, bad files).  Output is deterministic for fixed inputs and seed; the
-environment variable ``QFTALG_SEED`` overrides ``--seed``.
+mode, bad files, a bad ``QFTALG_SEED`` or ``--random-count``).  Output
+is deterministic for fixed inputs and seed; the environment variable
+``QFTALG_SEED`` overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -121,8 +122,13 @@ def _run_check(args) -> int:
     seed = args.seed
     env_seed = os.environ.get("QFTALG_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            return _usage_error(f"QFTALG_SEED must be an integer, got {env_seed!r}")
     count = args.random_count
+    if count < 0:
+        return _usage_error(f"--random-count must be >= 0, got {count}")
     if args.law == "all":
         reports = laws.run_all_checks(seed, count)
     elif args.law == "coalgebra":

@@ -24,8 +24,8 @@ from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, ModeError
-from .hopf import Element, Generator, Monomial, monomial_coproduct
-from .scalar import D, Dplus, PropPoly
+from .hopf import Element, Generator, Monomial, _linear_sum, monomial_coproduct
+from .scalar import D, Dplus, PropPoly, _accumulate, _poly_sum
 
 
 class RMode(enum.Enum):
@@ -178,9 +178,7 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
         clean = {symmap: q for symmap, q in slot.items() if q}
         if clean:
             out[mono] = PropPoly._raw(clean)
-    result = Element.__new__(Element)
-    result.terms = out
-    return result
+    return Element._raw(out)
 
 
 _T_CACHE: dict[Monomial, Element] = {}
@@ -216,10 +214,9 @@ def chronological(
             "the chronological product requires the commutative (feynman) mode"
         )
     if isinstance(factors, Element):
-        out = Element.zero()
-        for mono, coeff in factors.terms.items():
-            out = out + coeff * _chronological_monomial(mono)
-        return out
+        return _linear_sum(
+            (coeff, _chronological_monomial(mono)) for mono, coeff in factors.terms.items()
+        )
     if isinstance(factors, Monomial):
         return _chronological_monomial(factors)
     return _chronological_monomial(Monomial.from_occurrences(factors))
@@ -243,10 +240,7 @@ def t_functional(u: Element | Monomial, mode: RMode = RMode.CHRONOLOGICAL) -> Pr
         raise ModeError("t is defined through the chronological product only")
     if isinstance(u, Monomial):
         return t_monomial(u)
-    out = PropPoly.zero()
-    for mono, coeff in u.terms.items():
-        out = out + coeff * t_monomial(mono)
-    return out
+    return _poly_sum(coeff * t_monomial(mono) for mono, coeff in u.terms.items())
 
 
 def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Element:
@@ -258,19 +252,11 @@ def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Eleme
     if mode is not RMode.CHRONOLOGICAL:
         raise ModeError("the expansion identity lives in chronological mode")
     lhs = chronological(u)
-    acc: dict[Monomial, PropPoly] = {}
-    for mono, coeff in u.terms.items():
-        for (left, right), c in monomial_coproduct(mono):
-            t_val = t_monomial(left)
-            if not t_val:
-                continue
-            term = (coeff * t_val) * c
-            new = acc.get(right, PropPoly.zero()) + term
-            if new:
-                acc[right] = new
-            else:
-                acc.pop(right, None)
-    rhs = Element(acc)
+    rhs = Element._raw(_accumulate(
+        (right, coeff * t_monomial(left) * c)
+        for mono, coeff in u.terms.items()
+        for (left, right), c in monomial_coproduct(mono)
+    ))
     if lhs != rhs:
         raise IdentityViolation(lhs, rhs, "T(u) != sum t(u')u''")
     return lhs

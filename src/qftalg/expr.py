@@ -13,8 +13,9 @@ Grammar (whitespace-insensitive)::
 
 ``phi^0(x)`` normalizes to the unit.  Propagator atoms exist so that every
 string the pretty-printers emit parses back to an equal element.  Parse
-errors carry the byte offset and the expected-token set; negative
-exponents raise :class:`~qftalg.errors.PowerError`.
+errors, a zero denominator among them, carry the byte offset and the
+expected-token set; negative exponents raise
+:class:`~qftalg.errors.PowerError`.
 """
 
 from __future__ import annotations
@@ -133,11 +134,14 @@ class _Parser:
             numerator = int(value)
             if self.at_op("/"):
                 self.advance()
-                dkind, dvalue, _ = self.peek()
+                dkind, dvalue, doffset = self.peek()
                 if dkind != "INT":
                     self.fail(["integer denominator"])
                 self.advance()
-                return Element.scalar(Fraction(numerator, int(dvalue)))
+                denominator = int(dvalue)
+                if not denominator:
+                    raise ExprSyntaxError("zero denominator", doffset)
+                return Element.scalar(Fraction(numerator, denominator))
             return Element.scalar(Fraction(numerator))
         if kind == "NAME" and value == "phi":
             self.advance()

@@ -24,7 +24,7 @@ from math import factorial
 
 from .errors import UnsupportedFormat
 from .hopf import Monomial
-from .scalar import D, PropPoly, frac_str
+from .scalar import D, PropPoly, _poly_sum, frac_str
 
 #: recorded in export metadata: each generator occurrence becomes one vertex
 VERTEX_EXPANSION = "one vertex per generator occurrence"
@@ -128,10 +128,9 @@ def t_via_graphs(u: Monomial) -> PropPoly:
     """The scalar functional summed over all Feynman graphs; t(1) = 1."""
     if u.is_unit:
         return PropPoly.one()
-    total = PropPoly.zero()
-    for term in enumerate_adjacency(DegreeSequence.from_monomial(u)):
-        total = total + term.scalar
-    return total
+    return _poly_sum(
+        term.scalar for term in enumerate_adjacency(DegreeSequence.from_monomial(u))
+    )
 
 
 def is_connected(m: AdjacencyTerm) -> bool:
@@ -153,11 +152,11 @@ def t_connected_via_graphs(u: Monomial) -> PropPoly:
     """The scalar functional restricted to connected graphs; t_c(1) = 0."""
     if u.is_unit:
         return PropPoly.zero()
-    total = PropPoly.zero()
-    for term in enumerate_adjacency(DegreeSequence.from_monomial(u)):
-        if is_connected(term):
-            total = total + term.scalar
-    return total
+    return _poly_sum(
+        term.scalar
+        for term in enumerate_adjacency(DegreeSequence.from_monomial(u))
+        if is_connected(term)
+    )
 
 
 def _vertex_name(index: int, point: str, power: int) -> str:

@@ -30,11 +30,12 @@ cache idempotent results, so concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import NotInKernel, PowerError
-from .scalar import PropPoly
+from .scalar import PropPoly, _accumulate, _signed_join
 
 PointId = str
 
@@ -78,10 +79,7 @@ class Monomial:
 
     @classmethod
     def from_occurrences(cls, gens: Iterable[Generator]) -> "Monomial":
-        acc: dict[Generator, int] = {}
-        for g in gens:
-            acc[g] = acc.get(g, 0) + 1
-        return cls(acc.items())
+        return cls((g, 1) for g in gens)
 
     @classmethod
     def of(cls, gen: Generator) -> "Monomial":
@@ -183,18 +181,34 @@ class VertexWord(NamedTuple):
         return {"vertices": self.vertices.to_json(), "emptied": self.emptied}
 
 
+_MINUS_ONE = PropPoly.constant(-1)
+
+
+def _term_str(coeff: PropPoly, body: str, times: str) -> str:
+    """Render ``coeff`` times a rendered basis element ``body``."""
+    if coeff.is_one():
+        return body
+    if coeff == _MINUS_ONE:
+        return "-" + body
+    if len(coeff.terms) == 1:
+        return f"{coeff}{times}{body}"
+    return f"({coeff}){times}{body}"
+
+
 class Element:
     """A finite PropPoly-linear combination of monomials."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, PropPoly] | None = None):
-        clean: dict[Monomial, PropPoly] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+        self.terms = _accumulate(terms.items()) if terms else {}
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "Element":
+        # trusted constructor: terms already zero-free
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls) -> "Element":
@@ -220,21 +234,10 @@ class Element:
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = acc.get(mono, PropPoly.zero()) + coeff
-            if new:
-                acc[mono] = new
-            else:
-                acc.pop(mono, None)
-        out = Element.__new__(Element)
-        out.terms = acc
-        return out
+        return Element._raw(_accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
-        out = Element.__new__(Element)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return Element._raw({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Element):
@@ -243,18 +246,11 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            acc: dict[Monomial, PropPoly] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    key = m1 * m2
-                    new = acc.get(key, PropPoly.zero()) + c1 * c2
-                    if new:
-                        acc[key] = new
-                    else:
-                        acc.pop(key, None)
-            out = Element.__new__(Element)
-            out.terms = acc
-            return out
+            return Element._raw(_accumulate(
+                (m1 * m2, c1 * c2)
+                for m1, c1 in self.terms.items()
+                for m2, c2 in other.terms.items()
+            ))
         if isinstance(other, (PropPoly, Fraction, int)):
             return self._scaled(other)
         return NotImplemented
@@ -265,17 +261,7 @@ class Element:
         return NotImplemented
 
     def _scaled(self, scalar) -> "Element":
-        if isinstance(scalar, (Fraction, int)):
-            scalar = PropPoly.constant(scalar)
-        if not scalar:
-            return Element.zero()
-        out = Element.__new__(Element)
-        out.terms = {}
-        for mono, coeff in self.terms.items():
-            new = coeff * scalar
-            if new:
-                out.terms[mono] = new
-        return out
+        return Element._raw(_accumulate((m, c * scalar) for m, c in self.terms.items()))
 
     def counit(self) -> PropPoly:
         """Coefficient of the empty monomial (vacuum expectation value)."""
@@ -291,28 +277,10 @@ class Element:
         return sorted(self.terms.items(), key=lambda kv: kv[0].factors)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            if mono.is_unit:
-                piece = str(coeff)
-            elif coeff.is_one():
-                piece = str(mono)
-            elif coeff == PropPoly.constant(-1):
-                piece = "-" + str(mono)
-            elif len(coeff.terms) == 1:
-                piece = f"{coeff}*{mono}"
-            else:
-                piece = f"({coeff})*{mono}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return _signed_join(
+            str(coeff) if mono.is_unit else _term_str(coeff, str(mono), "*")
+            for mono, coeff in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"Element({self})"
@@ -324,6 +292,14 @@ class Element:
         ]
 
 
+def _linear_sum(parts: Iterable[tuple]) -> Element:
+    """``sum c * e`` over ``(c, e)`` pairs of a scalar and an element,
+    accumulated in one dict."""
+    return Element._raw(_accumulate(
+        (mono, coeff * c) for c, e in parts for mono, coeff in e.terms.items()
+    ))
+
+
 class Tensor:
     """A finite PropPoly-linear combination of k-tuples of monomials."""
 
@@ -332,39 +308,39 @@ class Tensor:
     def __init__(self, arity: int, terms: Mapping[tuple, PropPoly] | None = None):
         if arity < 1:
             raise ValueError("tensor arity must be >= 1")
+        terms = terms or {}
+        if any(len(slots) != arity for slots in terms):
+            raise ValueError("slot tuple does not match tensor arity")
         self.arity = arity
-        clean: dict[tuple, PropPoly] = {}
-        if terms:
-            for slots, coeff in terms.items():
-                if len(slots) != arity:
-                    raise ValueError("slot tuple does not match tensor arity")
-                if coeff:
-                    clean[slots] = coeff
-        self.terms = clean
+        self.terms = _accumulate(terms.items())
+
+    @classmethod
+    def _raw(cls, arity: int, terms: dict) -> "Tensor":
+        # trusted constructor: terms already zero-free, every slot tuple of
+        # length arity; only the arity itself is checked
+        if arity < 1:
+            raise ValueError("tensor arity must be >= 1")
+        out = object.__new__(cls)
+        out.arity = arity
+        out.terms = terms
+        return out
 
     @classmethod
     def from_element(cls, u: Element) -> "Tensor":
-        return cls(1, {(m,): c for m, c in u.terms.items()})
+        return cls._raw(1, {(m,): c for m, c in u.terms.items()})
 
     def element(self) -> Element:
         if self.arity != 1:
             raise ValueError("only arity-1 tensors convert to elements")
-        return Element({slots[0]: c for slots, c in self.terms.items()})
+        return Element._raw({slots[0]: c for slots, c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, Tensor) or other.arity != self.arity:
             return NotImplemented
-        acc = dict(self.terms)
-        for slots, coeff in other.terms.items():
-            new = acc.get(slots, PropPoly.zero()) + coeff
-            if new:
-                acc[slots] = new
-            else:
-                acc.pop(slots, None)
-        return Tensor(self.arity, acc)
+        return Tensor._raw(self.arity, _accumulate(other.terms.items(), dict(self.terms)))
 
     def __neg__(self):
-        return Tensor(self.arity, {s: -c for s, c in self.terms.items()})
+        return Tensor._raw(self.arity, {s: -c for s, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Tensor) or other.arity != self.arity:
@@ -372,9 +348,7 @@ class Tensor:
         return self + (-other)
 
     def scale(self, scalar) -> "Tensor":
-        if isinstance(scalar, (Fraction, int)):
-            scalar = PropPoly.constant(scalar)
-        return Tensor(self.arity, {s: c * scalar for s, c in self.terms.items()})
+        return Tensor._raw(self.arity, _accumulate((s, c * scalar) for s, c in self.terms.items()))
 
     __rmul__ = scale
 
@@ -392,105 +366,64 @@ class Tensor:
         """Substitute slot ``index`` by the expansion ``fn(slot)``.
 
         ``fn`` maps a monomial to an iterable of ``(slot_tuple, coeff)``
-        pairs; the result arity grows accordingly.
+        pairs; the result arity grows accordingly, by the width of the
+        first slot tuple ``fn`` emits (unchanged if it emits none).
         """
-        acc: dict[tuple, PropPoly] = {}
-        width = None
-        for slots, coeff in self.terms.items():
-            for new_slots, c in fn(slots[index]):
-                if width is None:
-                    width = len(new_slots)
-                key = slots[:index] + tuple(new_slots) + slots[index + 1:]
-                new = acc.get(key, PropPoly.zero()) + coeff * c
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
-        if width is None:
-            width = 1
-        return Tensor(self.arity - 1 + width, acc)
+        pairs = (
+            (slots[:index] + tuple(new_slots) + slots[index + 1:], coeff * c)
+            for slots, coeff in self.terms.items()
+            for new_slots, c in fn(slots[index])
+        )
+        first = next(pairs, None)
+        if first is None:
+            return Tensor._raw(self.arity, {})
+        return Tensor._raw(len(first[0]), _accumulate(chain((first,), pairs)))
 
     def counit_slot(self, index: int) -> "Tensor":
         """Apply the counit to one slot (keeps terms whose slot is 1)."""
-        acc: dict[tuple, PropPoly] = {}
-        for slots, coeff in self.terms.items():
-            if slots[index].is_unit:
-                key = slots[:index] + slots[index + 1:]
-                new = acc.get(key, PropPoly.zero()) + coeff
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
-        return Tensor(self.arity - 1, acc)
+        return Tensor._raw(self.arity - 1, _accumulate(
+            (slots[:index] + slots[index + 1:], coeff)
+            for slots, coeff in self.terms.items()
+            if slots[index].is_unit
+        ))
 
     def swap(self, i: int, j: int) -> "Tensor":
-        acc: dict[tuple, PropPoly] = {}
-        for slots, coeff in self.terms.items():
-            lst = list(slots)
-            lst[i], lst[j] = lst[j], lst[i]
-            key = tuple(lst)
-            new = acc.get(key, PropPoly.zero()) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        return Tensor(self.arity, acc)
+        order = list(range(self.arity))
+        order[i], order[j] = j, i
+        return Tensor._raw(self.arity, _accumulate(
+            (tuple(slots[k] for k in order), coeff) for slots, coeff in self.terms.items()
+        ))
 
     def merge_slots(self, i: int, j: int) -> "Tensor":
         """Multiply slots ``i`` and ``j`` (normal product), dropping slot j."""
-        acc: dict[tuple, PropPoly] = {}
-        for slots, coeff in self.terms.items():
-            merged = slots[i] * slots[j]
-            lst = [s for k, s in enumerate(slots) if k != j]
-            lst[i if i < j else i - 1] = merged
-            key = tuple(lst)
-            new = acc.get(key, PropPoly.zero()) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        return Tensor(self.arity - 1, acc)
+
+        def merged(slots):
+            out = [s for k, s in enumerate(slots) if k != j]
+            out[i if i < j else i - 1] = slots[i] * slots[j]
+            return tuple(out)
+
+        return Tensor._raw(self.arity - 1, _accumulate(
+            (merged(slots), coeff) for slots, coeff in self.terms.items()
+        ))
 
     def pairwise_product(self, other: "Tensor") -> "Tensor":
         """Slotwise normal product of two equal-arity tensors."""
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
-        acc: dict[tuple, PropPoly] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                key = tuple(a * b for a, b in zip(s1, s2))
-                new = acc.get(key, PropPoly.zero()) + c1 * c2
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
-        return Tensor(self.arity, acc)
+        return Tensor._raw(self.arity, _accumulate(
+            (tuple(a * b for a, b in zip(s1, s2)), c1 * c2)
+            for s1, c1 in self.terms.items()
+            for s2, c2 in other.terms.items()
+        ))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for slots, coeff in self.sorted_terms():
-            body = " ⊗ ".join(str(m) for m in slots)
-            if coeff.is_one():
-                piece = body
-            elif coeff == PropPoly.constant(-1):
-                piece = "-" + body
-            elif len(coeff.terms) == 1:
-                piece = f"{coeff} * {body}"
-            else:
-                piece = f"({coeff}) * {body}"
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return _signed_join(
+            _term_str(coeff, " ⊗ ".join(str(m) for m in slots), " * ")
+            for slots, coeff in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"Tensor{self.arity}({self})"
@@ -604,15 +537,9 @@ def word_coproduct_prime(word: VertexWord) -> tuple:
 
 
 def _tensor_from_monomial_expansion(u: Element, expansion) -> Tensor:
-    acc: dict[tuple, PropPoly] = {}
-    for mono, coeff in u.terms.items():
-        for pair, c in expansion(mono):
-            new = acc.get(pair, PropPoly.zero()) + coeff * c
-            if new:
-                acc[pair] = new
-            else:
-                acc.pop(pair, None)
-    return Tensor(2, acc)
+    return Tensor._raw(2, _accumulate(
+        (pair, coeff * c) for mono, coeff in u.terms.items() for pair, c in expansion(mono)
+    ))
 
 
 def coproduct(u: Element | Monomial) -> Tensor:
@@ -700,19 +627,19 @@ def _antipode_monomial(mono: Monomial) -> Element:
     cached = _ANTIPODE_CACHE.get(mono)
     if cached is not None:
         return cached
-    # Standard recursion on the reduced contraction coproduct; terminates
-    # because both slots of each reduced split carry strictly lower total
-    # field power than mono.
-    acc = -Element.from_monomial(mono)
-    for (left, right), c in monomial_reduced(mono):
-        acc = acc - c * (_antipode_monomial(left) * Element.from_monomial(right))
-    _ANTIPODE_CACHE[mono] = acc
-    return acc
+    # Standard recursion S(m) = -m - sum c S(left) right on the reduced
+    # contraction coproduct; terminates because both slots of each reduced
+    # split carry strictly lower total field power than mono.
+    pairs = (
+        (m * right, d * -c)
+        for (left, right), c in monomial_reduced(mono)
+        for m, d in _antipode_monomial(left).terms.items()
+    )
+    result = Element._raw(_accumulate(pairs, {mono: _MINUS_ONE}))
+    _ANTIPODE_CACHE[mono] = result
+    return result
 
 
 def antipode(u: Element) -> Element:
     """The antipode of the connected Hopf algebra, extended linearly."""
-    out = Element.zero()
-    for mono, coeff in u.terms.items():
-        out = out + coeff * _antipode_monomial(mono)
-    return out
+    return _linear_sum((coeff, _antipode_monomial(mono)) for mono, coeff in u.terms.items())

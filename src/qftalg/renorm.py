@@ -29,7 +29,9 @@ from __future__ import annotations
 import json
 import warnings
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import mul
 from typing import Mapping
 
 from .coqts import chronological
@@ -38,13 +40,14 @@ from .hopf import (
     Element,
     Generator,
     Monomial,
+    _linear_sum,
     kernel_project,
     monomial_coaction,
     monomial_reduced_prime,
     Tensor,
     VertexWord,
 )
-from .scalar import PropPoly, parse_frac
+from .scalar import PropPoly, _accumulate, _poly_sum, parse_frac
 
 
 class Vertex:
@@ -78,33 +81,50 @@ class Vertex:
         return self.rules.get(mono, Element.zero())
 
     def apply(self, u: Element) -> Element:
-        out = Element.zero()
-        for mono, coeff in u.terms.items():
-            img = self.image(mono)
-            if img:
-                out = out + coeff * img
-        return out
+        return _linear_sum((coeff, self.image(mono)) for mono, coeff in u.terms.items())
 
     @classmethod
     def from_json(cls, text: str) -> "Vertex":
         """Parse the rule-table format: a JSON array of
-        ``{"from": monomial, "to": [{"point", "power", "coeff": "p/q"}]}``."""
+        ``{"from": monomial, "to": [{"point", "power", "coeff": "p/q"}]}``.
+
+        Malformed tables raise :class:`ValueError` (or :class:`KeyError`
+        for a missing field): a top level or a ``from``/``to`` list that is
+        not an array of objects, a power that is not an integer >= 1, a
+        multiplicity that is not an integer >= 0, a zero denominator.
+        """
         rules: dict[Monomial, Element] = {}
-        for entry in json.loads(text):
+        for entry in _objects(json.loads(text), "vertex file"):
             source = Monomial(
-                (Generator(f["point"], f["power"]), f["mult"])
-                for f in entry["from"]
+                (Generator(f["point"], _int_field(f, "power", 1)), _int_field(f, "mult", 0))
+                for f in _objects(entry["from"], "from")
             )
-            image = Element.zero()
-            for target in entry["to"]:
-                coeff = PropPoly.constant(parse_frac(str(target["coeff"])))
-                image = image + coeff * Element.from_generator(
-                    Generator(target["point"], target["power"])
+            image = _linear_sum(
+                (
+                    PropPoly.constant(parse_frac(str(t["coeff"]))),
+                    Element.from_generator(Generator(t["point"], _int_field(t, "power", 1))),
                 )
+                for t in _objects(entry["to"], "to")
+            )
             if source in rules:
                 raise ValueError(f"duplicate vertex rule for {source}")
             rules[source] = image
         return cls(rules)
+
+
+def _objects(value, what: str) -> list:
+    """``value`` itself if it is a JSON array of objects; else ValueError."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ValueError(f"{what} must be an array of objects")
+    return value
+
+
+def _int_field(obj: dict, key: str, low: int) -> int:
+    """``obj[key]`` if it is an integer ``>= low``; else ValueError."""
+    value = obj[key]
+    if type(value) is not int or value < low:
+        raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def identity_vertex() -> Vertex:
@@ -130,15 +150,11 @@ def _reduced_partition_terms(u: Element):
 def connected_T(u: Element, strict: bool = True) -> Element:
     """The connected chronological product on the counit kernel."""
     u = kernel_project(u, strict)
-    result = Element.zero()
-    for n, tensor in _reduced_partition_terms(u):
-        coeff = Fraction((-1) ** (n + 1), n)
-        for slots, c in tensor.terms.items():
-            prod = chronological(slots[0])
-            for s in slots[1:]:
-                prod = prod * chronological(s)
-            result = result + (c * coeff) * prod
-    return result
+    return _linear_sum(
+        (c * Fraction((-1) ** (n + 1), n), reduce(mul, map(chronological, slots)))
+        for n, tensor in _reduced_partition_terms(u)
+        for slots, c in tensor.terms.items()
+    )
 
 
 _tc_cache: dict[Monomial, PropPoly] = {}
@@ -160,10 +176,7 @@ def t_c_functional(u: Element | Monomial, strict: bool = True) -> PropPoly:
     if isinstance(u, Monomial):
         return _t_c_monomial(u)
     u = kernel_project(u, strict)
-    out = PropPoly.zero()
-    for mono, coeff in u.terms.items():
-        out = out + coeff * _t_c_monomial(mono)
-    return out
+    return _poly_sum(coeff * _t_c_monomial(mono) for mono, coeff in u.terms.items())
 
 
 def _t_c_word(word: VertexWord) -> PropPoly:
@@ -190,19 +203,11 @@ def comodule_expansion_check(u: Element, strict: bool = True) -> Element:
     """
     u = kernel_project(u, strict)
     lhs = connected_T(u)
-    acc: dict[Monomial, PropPoly] = {}
-    for mono, coeff in u.terms.items():
-        for (word, right), c in monomial_coaction(mono):
-            val = _t_c_word(word)
-            if not val:
-                continue
-            term = (coeff * val) * c
-            new = acc.get(right, PropPoly.zero()) + term
-            if new:
-                acc[right] = new
-            else:
-                acc.pop(right, None)
-    rhs = Element(acc)
+    rhs = Element._raw(_accumulate(
+        (right, coeff * _t_c_word(word) * c)
+        for mono, coeff in u.terms.items()
+        for (word, right), c in monomial_coaction(mono)
+    ))
     if lhs == rhs:
         return lhs
     if strict:
@@ -215,22 +220,14 @@ def comodule_expansion_check(u: Element, strict: bool = True) -> Element:
 
 
 def renormalized_T(u: Element, vertex: Vertex, strict: bool = True) -> Element:
-    """The renormalized chronological product with generalized vertex ``O``."""
+    """The renormalized chronological product with generalized vertex ``O``.
+
+    ``T`` is linear, so the series ``sum c/n! O(u_1)...O(u_n)`` is summed
+    into one element first and ``T`` applied to it once.
+    """
     u = kernel_project(u, strict)
-    result = Element.zero()
-    for n, tensor in _reduced_partition_terms(u):
-        coeff = Fraction(1, factorial(n))
-        for slots, c in tensor.terms.items():
-            prod = vertex.image(slots[0])
-            if not prod:
-                continue
-            for s in slots[1:]:
-                img = vertex.image(s)
-                if not img:
-                    prod = Element.zero()
-                    break
-                prod = prod * img
-            if not prod:
-                continue
-            result = result + (c * coeff) * chronological(prod)
-    return result
+    return chronological(_linear_sum(
+        (c * Fraction(1, factorial(n)), reduce(mul, map(vertex.image, slots)))
+        for n, tensor in _reduced_partition_terms(u)
+        for slots, c in tensor.terms.items()
+    ))

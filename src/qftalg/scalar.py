@@ -63,8 +63,47 @@ def frac_str(q: Fraction) -> str:
 
 
 def parse_frac(text: str) -> Fraction:
-    """Inverse of :func:`frac_str`; also accepts a bare integer string."""
-    return Fraction(text)
+    """Inverse of :func:`frac_str`; also accepts a bare integer string.
+    A zero denominator raises :class:`ValueError`, like any malformed text."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _accumulate(pairs: Iterable[tuple], acc: dict | None = None) -> dict:
+    """Sum ``(key, coeff)`` pairs into ``acc`` (a new dict by default).
+
+    This is the one summation behind every sparse combination of the
+    package: a key whose coefficients cancel is dropped, so the result
+    holds no zero coefficient.  Works for any coefficient type with ``+``
+    and truth testing (rationals, :class:`PropPoly`).
+    """
+    if acc is None:
+        acc = {}
+    get = acc.get
+    for key, coeff in pairs:
+        old = get(key)
+        new = coeff if old is None else old + coeff
+        if new:
+            acc[key] = new
+        elif old is not None:
+            del acc[key]
+    return acc
+
+
+def _signed_join(pieces: Iterable[str]) -> str:
+    """Render a sum of rendered terms: ``" - "`` before a term that starts
+    with ``-`` (sign dropped), ``" + "`` before any other; ``"0"`` if none."""
+    out = ""
+    for piece in pieces:
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out or "0"
 
 
 # A polynomial monomial: sorted tuple of (symbol, exponent >= 1) pairs.
@@ -161,14 +200,7 @@ class PropPoly:
             return other
         if not other.terms:
             return self
-        acc = dict(self.terms)
-        for symmap, coeff in other.terms.items():
-            new = acc.get(symmap, 0) + coeff
-            if new:
-                acc[symmap] = new
-            else:
-                acc.pop(symmap, None)
-        return PropPoly._raw(acc)
+        return PropPoly._raw(_accumulate(other.terms.items(), dict(self.terms)))
 
     __radd__ = __add__
 
@@ -200,16 +232,11 @@ class PropPoly:
         if len(self.terms) == 1 and () in self.terms:
             q = self.terms[()]
             return PropPoly._raw({s: c * q for s, c in other.terms.items()})
-        acc: dict[SymMap, Fraction] = {}
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                key = _merge_symmaps(s1, s2)
-                new = acc.get(key, 0) + c1 * c2
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
-        return PropPoly._raw(acc)
+        return PropPoly._raw(_accumulate(
+            (_merge_symmaps(s1, s2), c1 * c2)
+            for s1, c1 in self.terms.items()
+            for s2, c2 in other.terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -260,8 +287,6 @@ class PropPoly:
     # -- rendering ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for symmap, coeff in self.sorted_terms():
             factors = []
@@ -276,13 +301,7 @@ class PropPoly:
             else:
                 piece = "*".join([str(coeff)] + factors)
             parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        return _signed_join(parts)
 
     def __repr__(self):
         return f"PropPoly({self})"
@@ -302,6 +321,11 @@ class PropPoly:
 
 _ZERO = PropPoly._raw({})
 _ONE = PropPoly._raw({(): Fraction(1)})
+
+
+def _poly_sum(polys: Iterable[PropPoly]) -> PropPoly:
+    """Sum of polynomials, accumulated in one dict."""
+    return PropPoly._raw(_accumulate(pair for p in polys for pair in p.terms.items()))
 
 
 def poly_add(a: PropPoly, b: PropPoly) -> PropPoly:

@@ -1,0 +1,84 @@
+"""The public names of qftalg, pinned so that an unchanged API is checked
+rather than asserted: the package namespace, the functions and classes
+each module defines, and the public attributes of the core classes."""
+
+import importlib
+import types
+
+import qftalg
+
+PACKAGE = [
+    "AdjacencyTerm", "D", "DegreeSequence", "Dplus", "Element", "ElementFamily",
+    "ExprSyntaxError", "Generator", "IdentityViolation", "LawFailure", "LawReport",
+    "MissingSymbol", "ModeError", "Monomial", "NotInKernel", "PointId", "PowerError",
+    "PropPoly", "PropSymbol", "QftAlgError", "RMode", "Rational", "Tensor",
+    "UnsupportedFormat", "Vertex", "VertexWord", "antipode", "check_antipode",
+    "check_bialgebra", "check_coalgebra", "check_comodule_coalgebra", "chronological",
+    "coaction", "comodule_expansion_check", "connected_T", "coproduct", "coproduct_prime",
+    "counit", "enumerate_adjacency", "export_graphs", "frac_str", "identity_vertex",
+    "is_connected", "normal_product", "normalize", "parse", "poly_add", "poly_eval",
+    "poly_mul", "r_bicharacter", "r_generators", "reduced_prime", "reduced_prime_iter",
+    "renormalized_T", "t_c_functional", "t_connected_via_graphs", "t_expansion_identity",
+    "t_functional", "t_via_graphs", "twisted_product", "zero_vertex",
+]
+
+MODULES = {
+    "scalar": ["D", "Dplus", "PropPoly", "PropSymbol", "frac_str", "parse_frac", "poly_add",
+               "poly_eval", "poly_mul"],
+    "hopf": ["Element", "Generator", "Monomial", "Tensor", "VertexWord", "antipode",
+             "coaction", "coproduct", "coproduct_prime", "counit", "kernel_project",
+             "monomial_coaction", "monomial_coproduct", "monomial_coproduct_prime",
+             "monomial_reduced", "monomial_reduced_prime", "normal_product", "normalize",
+             "reduced_prime", "reduced_prime_iter", "word_coproduct_prime"],
+    "coqts": ["RMode", "chronological", "r_bicharacter", "r_generators",
+              "t_expansion_identity", "t_functional", "t_monomial", "twisted_product"],
+    "graphs": ["AdjacencyTerm", "DegreeSequence", "enumerate_adjacency", "export_graphs",
+               "is_connected", "t_connected_via_graphs", "t_via_graphs"],
+    "renorm": ["Vertex", "comodule_expansion_check", "connected_T", "identity_vertex",
+               "renormalized_T", "t_c_functional", "zero_vertex"],
+    "laws": ["ElementFamily", "LawFailure", "LawReport", "bialgebra_family", "check_antipode",
+             "check_bialgebra", "check_coalgebra", "check_comodule_coalgebra",
+             "comodule_family", "default_family", "exhaustive_monomials", "mutated_coproduct",
+             "random_elements", "run_all_checks"],
+    "expr": ["parse"],
+    "cli": ["build_parser", "main"],
+    "errors": ["ExprSyntaxError", "IdentityViolation", "MissingSymbol", "ModeError",
+               "NotInKernel", "PowerError", "QftAlgError", "UnsupportedFormat"],
+}
+
+CLASSES = {
+    "PropPoly": ["constant", "constant_term", "evaluate", "from_symbol_powers", "is_one",
+                 "one", "sorted_terms", "symbol", "symbols", "terms", "to_json", "zero"],
+    "Monomial": ["append", "factors", "from_occurrences", "is_unit", "occurrences", "of",
+                 "size", "split_first", "split_last", "to_json", "total_power", "unit"],
+    "Element": ["counit", "from_generator", "from_monomial", "one", "scalar", "sorted_terms",
+                "terms", "to_json", "zero"],
+    "Tensor": ["apply_to_slot", "arity", "counit_slot", "element", "from_element",
+               "merge_slots", "pairwise_product", "scale", "sorted_terms", "swap", "terms",
+               "to_json"],
+    "VertexWord": ["count", "emptied", "index", "is_unit", "to_json", "vertices"],
+    "Vertex": ["apply", "from_json", "image", "rules"],
+}
+
+
+def public(names):
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_package_namespace():
+    names = (n for n, v in vars(qftalg).items() if not isinstance(v, types.ModuleType))
+    assert public(names) == PACKAGE
+
+
+def test_module_definitions():
+    for name, expected in MODULES.items():
+        mod = importlib.import_module(f"qftalg.{name}")
+        defined = (
+            n for n, v in vars(mod).items() if getattr(v, "__module__", None) == mod.__name__
+        )
+        assert public(defined) == expected, name
+
+
+def test_class_attributes():
+    for name, expected in CLASSES.items():
+        assert public(dir(getattr(qftalg, name))) == expected, name

@@ -27,6 +27,114 @@ GOLDEN_TRIANGLE = (
 )
 
 
+# Byte goldens for each rendering branch, recorded before the sums of
+# PropPoly, Element and Tensor moved onto one accumulation kernel: a
+# multi-term coefficient, a ``-m`` term, a unit term and rational ones, in
+# tensors (`` * ``) and elements (``*``), pretty and JSON.
+RENDER_EXPR = "(D(x,y)+1)*phi^2(x)-3/2*phi(y)*phi(x)"
+T_EXPR = "phi(x1)*phi(x2)*phi^2(x3)-2*phi(x1)+(1+D(x1,x2))*phi(x2)*phi(x3)"
+
+GOLDEN_DELTA_PRIME_NEG = (
+    "1/3 * 1 ⊗ 1 + 1 ⊗ phi^2(x)*phi(y) - 1 ⊗ phi(z) + phi^2(x) ⊗ phi(y) "
+    "+ phi^2(x)*phi(y) ⊗ 1 + phi(y) ⊗ phi^2(x) - phi(z) ⊗ 1\n"
+)
+
+GOLDEN_TR = (
+    "1/2*D(x1,x2) + 1/2*phi(x1)*phi(x2) - 3*phi(x1)*phi^2(x2) + 2/3*phi^2(x1) "
+    "- 6*D(x1,x2)*phi(x2)\n"
+)
+
+GOLDEN_DELTA = (
+    '-3/2 * 1 ⊗ phi(x)*phi(y) + (1 + D(x,y)) * 1 ⊗ phi^2(x) + (2 + 2*D(x,y)) * '
+    'phi(x) ⊗ phi(x) - 3/2 * phi(x) ⊗ phi(y) - 3/2 * phi(x)*phi(y) ⊗ 1 + (1 + '
+    'D(x,y)) * phi^2(x) ⊗ 1 - 3/2 * phi(y) ⊗ phi(x)\n'
+)
+
+GOLDEN_DELTA_JSON = (
+    '[{"slots": [[], [{"point": "x", "power": 1, "mult": 1}, {"point": "y", '
+    '"power": 1, "mult": 1}]], "coeff": [{"coeff": "-3/2", "symbols": []}]}, '
+    '{"slots": [[], [{"point": "x", "power": 2, "mult": 1}]], "coeff": '
+    '[{"coeff": "1/1", "symbols": []}, {"coeff": "1/1", "symbols": [{"kind": '
+    '"D", "a": "x", "b": "y", "pow": 1}]}]}, {"slots": [[{"point": "x", '
+    '"power": 1, "mult": 1}], [{"point": "x", "power": 1, "mult": 1}]], '
+    '"coeff": [{"coeff": "2/1", "symbols": []}, {"coeff": "2/1", "symbols": '
+    '[{"kind": "D", "a": "x", "b": "y", "pow": 1}]}]}, {"slots": [[{"point": '
+    '"x", "power": 1, "mult": 1}], [{"point": "y", "power": 1, "mult": 1}]], '
+    '"coeff": [{"coeff": "-3/2", "symbols": []}]}, {"slots": [[{"point": "x", '
+    '"power": 1, "mult": 1}, {"point": "y", "power": 1, "mult": 1}], []], '
+    '"coeff": [{"coeff": "-3/2", "symbols": []}]}, {"slots": [[{"point": "x", '
+    '"power": 2, "mult": 1}], []], "coeff": [{"coeff": "1/1", "symbols": []}, '
+    '{"coeff": "1/1", "symbols": [{"kind": "D", "a": "x", "b": "y", "pow": '
+    '1}]}]}, {"slots": [[{"point": "y", "power": 1, "mult": 1}], [{"point": '
+    '"x", "power": 1, "mult": 1}]], "coeff": [{"coeff": "-3/2", "symbols": '
+    '[]}]}]\n'
+)
+
+GOLDEN_T_MIXED = (
+    'D(x1,x2)*D(x2,x3) + 2*D(x1,x3)*D(x2,x3) + D(x2,x3) - 2*phi(x1) + '
+    'phi(x1)*phi(x2)*phi^2(x3) + 2*D(x2,x3)*phi(x1)*phi(x3) + (1 + D(x1,x2) + '
+    '2*D(x1,x3))*phi(x2)*phi(x3) + D(x1,x2)*phi^2(x3)\n'
+)
+
+GOLDEN_T_JSON = (
+    '[{"monomial": [], "coeff": [{"coeff": "2/1", "symbols": [{"kind": "D", '
+    '"a": "x1", "b": "x3", "pow": 1}, {"kind": "D", "a": "x2", "b": "x3", '
+    '"pow": 1}]}]}, {"monomial": [{"point": "x1", "power": 1, "mult": 1}], '
+    '"coeff": [{"coeff": "-2/1", "symbols": []}]}, {"monomial": [{"point": '
+    '"x1", "power": 1, "mult": 1}, {"point": "x2", "power": 1, "mult": 1}, '
+    '{"point": "x3", "power": 2, "mult": 1}], "coeff": [{"coeff": "1/1", '
+    '"symbols": []}]}, {"monomial": [{"point": "x1", "power": 1, "mult": 1}, '
+    '{"point": "x3", "power": 1, "mult": 1}], "coeff": [{"coeff": "2/1", '
+    '"symbols": [{"kind": "D", "a": "x2", "b": "x3", "pow": 1}]}]}, '
+    '{"monomial": [{"point": "x2", "power": 1, "mult": 1}, {"point": "x3", '
+    '"power": 1, "mult": 1}], "coeff": [{"coeff": "2/1", "symbols": [{"kind": '
+    '"D", "a": "x1", "b": "x3", "pow": 1}]}]}, {"monomial": [{"point": "x3", '
+    '"power": 2, "mult": 1}], "coeff": [{"coeff": "1/1", "symbols": [{"kind": '
+    '"D", "a": "x1", "b": "x2", "pow": 1}]}]}]\n'
+)
+
+GOLDEN_WICK_NEG = (
+    'D(x,y)^2 - 2*D(x,y)*phi(x) + 3*D(x,y)*phi(x)*phi(y) + '
+    'D(x,y)*phi(x)*phi^2(y) - phi^2(x)*phi(y) + phi^2(x)*phi^2(y) + '
+    '2*D(x,y)^2*phi(y)\n'
+)
+
+GOLDEN_TR_JSON = (
+    '[{"monomial": [], "coeff": [{"coeff": "1/2", "symbols": [{"kind": "D", '
+    '"a": "x1", "b": "x2", "pow": 1}]}]}, {"monomial": [{"point": "x1", '
+    '"power": 1, "mult": 1}, {"point": "x2", "power": 1, "mult": 1}], "coeff": '
+    '[{"coeff": "1/2", "symbols": []}]}, {"monomial": [{"point": "x1", '
+    '"power": 1, "mult": 1}, {"point": "x2", "power": 2, "mult": 1}], "coeff": '
+    '[{"coeff": "-3/1", "symbols": []}]}, {"monomial": [{"point": "x1", '
+    '"power": 2, "mult": 1}], "coeff": [{"coeff": "2/3", "symbols": []}]}, '
+    '{"monomial": [{"point": "x2", "power": 1, "mult": 1}], "coeff": '
+    '[{"coeff": "-6/1", "symbols": [{"kind": "D", "a": "x1", "b": "x2", "pow": '
+    '1}]}]}]\n'
+)
+
+# a vertex table with rational images and a two-generator source
+RENDER_VERTEX = [
+    {
+        "from": [{"point": "x1", "power": 1, "mult": 1}],
+        "to": [{"point": "x1", "power": 1, "coeff": "1/1"}],
+    },
+    {
+        "from": [{"point": "x2", "power": 1, "mult": 1}],
+        "to": [
+            {"point": "x2", "power": 1, "coeff": "1/2"},
+            {"point": "x2", "power": 2, "coeff": "-3/1"},
+        ],
+    },
+    {
+        "from": [
+            {"point": "x1", "power": 1, "mult": 1},
+            {"point": "x2", "power": 1, "mult": 1},
+        ],
+        "to": [{"point": "x1", "power": 2, "coeff": "2/3"}],
+    },
+]
+
+
 class TestGoldenOutputs:
     def test_t_four_fields(self):
         code, out, err = run_cli("t", "--expr", "phi(x1)*phi(x2)*phi(x3)*phi(x4)")
@@ -154,6 +262,40 @@ class TestCommands:
         assert parse(t_out.strip()) == Element.scalar(total)
 
 
+class TestRenderingGoldens:
+    def test_tensor_multi_term_and_rational_coefficients(self):
+        assert run_cli("delta", "--expr", RENDER_EXPR) == (0, GOLDEN_DELTA, "")
+        assert run_cli("delta", "--expr", RENDER_EXPR, "--output", "json") == (
+            0,
+            GOLDEN_DELTA_JSON,
+            "",
+        )
+
+    def test_tensor_minus_one_and_unit_terms(self):
+        code, out, _ = run_cli("delta-prime", "--expr", "phi^2(x)*phi(y)-phi(z)+1/3")
+        assert (code, out) == (0, GOLDEN_DELTA_PRIME_NEG)
+
+    def test_element_multi_term_and_unit_terms(self):
+        assert run_cli("T", "--expr", T_EXPR) == (0, GOLDEN_T_MIXED, "")
+        code, out, _ = run_cli(
+            "T", "--expr", "phi(x1)*phi(x2)*phi^2(x3)-2*phi(x1)", "--output", "json"
+        )
+        assert (code, out) == (0, GOLDEN_T_JSON)
+
+    def test_element_minus_one_term(self):
+        code, out, _ = run_cli(
+            "wick", "--lhs", "phi^2(x)+D(x,y)*phi(x)", "--rhs", "phi^2(y)-phi(y)"
+        )
+        assert (code, out) == (0, GOLDEN_WICK_NEG)
+
+    def test_renormalized_pretty_and_json(self, tmp_path):
+        vertex = tmp_path / "vertex.json"
+        vertex.write_text(json.dumps(RENDER_VERTEX))
+        args = ("TR", "--expr", "phi(x1)*phi(x2)", "--vertex", str(vertex))
+        assert run_cli(*args) == (0, GOLDEN_TR, "")
+        assert run_cli(*args, "--output", "json") == (0, GOLDEN_TR_JSON, "")
+
+
 class TestExitCodes:
     def test_usage_error_on_bad_expression(self):
         code, _, err = run_cli("t", "--expr", "phi(x1)*ph")
@@ -179,6 +321,49 @@ class TestExitCodes:
         code, _, err = run_cli("TR", "--expr", "phi(x1)*phi(x2)", "--vertex", str(bad))
         assert code == 2
         assert "vertex" in err
+
+    def test_zero_denominator_is_a_syntax_error(self):
+        code, out, err = run_cli("t", "--expr", "1/0")
+        assert (code, out) == (2, "")
+        assert err == "error: bad expression: zero denominator at offset 2\n"
+
+    def test_malformed_vertex_files(self, tmp_path):
+        source = [{"point": "x", "power": 1, "mult": 1}]
+        target = [{"point": "x", "power": 1, "coeff": "1/1"}]
+        cases = {
+            '{"a": 1}': "vertex file must be an array of objects",
+            "[1]": "vertex file must be an array of objects",
+            json.dumps([{"from": source, "to": 5}]): "to must be an array of objects",
+            json.dumps([{"from": source, "to": [dict(target[0], power=-1)]}]): (
+                "power must be an integer >= 1, got -1"
+            ),
+            json.dumps([{"from": [dict(source[0], power=0)], "to": target}]): (
+                "power must be an integer >= 1, got 0"
+            ),
+            json.dumps([{"from": [dict(source[0], mult="2")], "to": target}]): (
+                "mult must be an integer >= 0, got '2'"
+            ),
+            json.dumps([{"from": source, "to": [dict(target[0], coeff="1/0")]}]): (
+                "zero denominator in '1/0'"
+            ),
+        }
+        bad = tmp_path / "vertex.json"
+        for text, message in cases.items():
+            bad.write_text(text)
+            code, out, err = run_cli("TR", "--expr", "phi(x)*phi(y)", "--vertex", str(bad))
+            assert (code, out) == (2, ""), text
+            assert err == f"error: bad vertex file: {message}\n", text
+
+    def test_bad_seed_environment(self, monkeypatch):
+        monkeypatch.setenv("QFTALG_SEED", "abc")
+        code, out, err = run_cli("check", "--law", "antipode", "--random-count", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: QFTALG_SEED must be an integer, got 'abc'\n"
+
+    def test_negative_random_count(self):
+        code, out, err = run_cli("check", "--random-count", "-3")
+        assert (code, out) == (2, "")
+        assert err == "error: --random-count must be >= 0, got -3\n"
 
 
 class TestCheckCommand:

@@ -69,6 +69,12 @@ class TestParseErrors:
         with pytest.raises(ExprSyntaxError):
             parse("phi(x))")
 
+    def test_zero_denominator_at_its_offset(self):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse("phi(x) + 3/ 0")
+        assert err.value.offset == 12
+        assert str(err.value) == "zero denominator at offset 12"
+
 
 _points = st.sampled_from(["x1", "x2", "y", "z_3"])
 

@@ -339,3 +339,54 @@ def test_monomial_coproduct_cache_consistency():
     first = monomial_coproduct(m)
     second = monomial_coproduct(mono(("y", 1), ("x", 2)))
     assert first == second
+
+
+class TestCancellation:
+    """Sums that cancel leave no key behind, whichever operation made them."""
+
+    a = mono(("x", 1))
+    b = mono(("y", 1))
+
+    def test_element_sum_and_product(self):
+        assert (phi("x") + -phi("x")).terms == {}
+        square_difference = (phi("x") + phi("y")) * (phi("x") - phi("y"))
+        assert square_difference.terms == {
+            mono(("x", 1), ("x", 1)): PropPoly.one(),
+            mono(("y", 1), ("y", 1)): PropPoly.constant(-1),
+        }
+
+    def test_swap_of_antisymmetric_tensor(self):
+        t = t2((self.a, self.b, 1), (self.b, self.a, -1))
+        assert t.swap(0, 1) == -t
+        total = t + t.swap(0, 1)
+        assert (total.arity, total.terms) == (2, {})
+
+    def test_merge_slots_collisions_cancel(self):
+        t = t2((self.a, self.b, 1), (self.b, self.a, -1))
+        merged = t.merge_slots(0, 1)
+        assert (merged.arity, merged.terms) == (1, {})
+        partial = t2((self.a, self.b, 1), (self.b, self.a, -1), (self.a, self.a, 2))
+        assert partial.merge_slots(1, 0).terms == {(mono(("x", 1), ("x", 1)),): PropPoly.constant(2)}
+
+    def test_pairwise_product_collisions_cancel(self):
+        t = t2((self.a, UNIT, 1), (UNIT, self.a, 1))
+        s = t2((self.b, UNIT, 1), (UNIT, self.b, -1))
+        ab = mono(("x", 1), ("y", 1))
+        assert t.pairwise_product(s) == t2(
+            (ab, UNIT, 1), (self.a, self.b, -1), (self.b, self.a, 1), (UNIT, ab, -1)
+        )
+        assert (t.pairwise_product(t2((UNIT, UNIT, 1))) - t).terms == {}
+
+    def test_apply_to_slot_width_comes_from_first_emitted_tuple(self):
+        # both terms emit the same triple with opposite signs: nothing is
+        # left, yet the arity is that of the emitted tuples
+        t = Tensor.from_element(phi("x") - phi("y"))
+        out = t.apply_to_slot(0, lambda m: [((UNIT, UNIT, UNIT), PropPoly.one())])
+        assert (out.arity, out.terms) == (3, {})
+
+    def test_apply_to_slot_keeps_arity_when_nothing_is_emitted(self):
+        t = t2((self.a, self.b, 1))
+        out = t.apply_to_slot(0, lambda m: [])
+        assert (out.arity, out.terms) == (2, {})
+        widened = t.apply_to_slot(1, lambda m: [((m, UNIT), PropPoly.one())])
+        assert widened == Tensor(3, {(self.a, self.b, UNIT): PropPoly.one()})

@@ -1,6 +1,8 @@
 import itertools
 import json
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -8,7 +10,14 @@ from qftalg.coqts import chronological
 from qftalg.errors import IdentityViolation, NotInKernel
 from qftalg.graphs import t_connected_via_graphs
 from qftalg import renorm
-from qftalg.hopf import Element, Monomial, VertexWord, monomial_coproduct, reduced_prime_iter
+from qftalg.hopf import (
+    Element,
+    Generator,
+    Monomial,
+    VertexWord,
+    monomial_coproduct,
+    reduced_prime_iter,
+)
 from qftalg.renorm import (
     Vertex,
     comodule_expansion_check,
@@ -237,3 +246,55 @@ class TestRenormalizedT:
         scaled = Vertex({mono(("x1", 1)): 3 * phi("x1"), mono(("x2", 1)): 3 * phi("x2")})
         u = phi("x1") * phi("x2")
         assert renormalized_T(u, scaled) == 9 * renormalized_T(u, base)
+
+
+def definitional_T_R(u, vertex):
+    """``sum_n 1/n! sum c T(O(u_1)...O(u_n))`` over the ordered tuples of
+    the (n-1)-st reduced-partition iterate, one ``T`` per tuple."""
+    total = Element.zero()
+    n = 1
+    while True:
+        iterate = reduced_prime_iter(u, n - 1)
+        if not iterate:
+            return total
+        for slots, c in iterate.terms.items():
+            product = Element.one()
+            for s in slots:
+                product = product * vertex.image(s)
+            total = total + (c * Fraction(1, factorial(n))) * chronological(product)
+        n += 1
+
+
+class TestRenormalizedTDefinition:
+    """``renormalized_T`` sums the series into one element and applies
+    ``T`` once; that must equal the definitional sum over ordered tuples."""
+
+    # the family of acceptance criterion 6: 1-4 distinct generators
+    generators = [Generator(p, n) for p in ("x1", "x2", "x3", "x4") for n in (1, 2, 3)]
+
+    def family(self, max_size):
+        for size in range(1, max_size + 1):
+            for combo in itertools.combinations(self.generators, size):
+                yield Element.from_monomial(Monomial.from_occurrences(combo))
+
+    def test_identity_vertex_on_acceptance_family(self):
+        vertex = identity_vertex()
+        for u in self.family(4):
+            assert renormalized_T(u, vertex) == definitional_T_R(u, vertex)
+
+    def test_seeded_rule_table(self):
+        rng = random.Random(6)
+        rules = {}
+        for g in self.generators:
+            image = Element.zero()
+            for target in rng.sample(self.generators, 2):
+                coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                image = image + PropPoly.constant(coeff) * Element.from_generator(target)
+            rules[Monomial.of(g)] = image
+        for pair in rng.sample(list(itertools.combinations(self.generators, 2)), 10):
+            rules[Monomial.from_occurrences(pair)] = Fraction(1, 2) * Element.from_generator(pair[0])
+        vertex = Vertex(rules)
+        members = list(self.family(3))
+        members += [u + Fraction(-2, 3) * v for u, v in zip(members[::7], members[3::7])]
+        for u in rng.sample(members, 60):
+            assert renormalized_T(u, vertex) == definitional_T_R(u, vertex)

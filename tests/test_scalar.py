@@ -34,6 +34,13 @@ def test_poly_add_identity_and_cancellation():
     assert poly_add(PropPoly.symbol(D(X, Y)), PropPoly.symbol(D(X, Y), 1, -1)) == PropPoly.zero()
 
 
+def test_poly_mul_cancelling_terms_leave_no_key():
+    d = PropPoly.symbol(D(X, Y))
+    product = (d + 1) * (d - 1)
+    assert product.terms == {((D(X, Y), 2),): 1, (): -1}
+    assert (d - d).terms == {}
+
+
 def test_poly_add_merges_like_terms():
     two = PropPoly.symbol(D(X, Y), 2, 2)
     three = PropPoly.symbol(D(X, Y), 2, 3)
