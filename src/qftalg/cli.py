@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 law failures, 2 usage errors (bad syntax, bad
-mode, bad files, a bad ``QFTALG_SEED`` or ``--random-count``).  Output
+mode, bad files, a bad ``QFTALG_SEED`` or ``--random-count``, input too
+deep for the recursion limit).  Output
 is deterministic for fixed inputs and seed; the environment variable
 ``QFTALG_SEED`` overrides ``--seed``.
 """
@@ -217,6 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     except QftAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError:
+        return _usage_error("input too deep to evaluate (recursion limit exceeded)")
     return 0
 
 

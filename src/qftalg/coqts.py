@@ -10,7 +10,10 @@ conventions coincide (tests recompute with the slot-swapped law).
 
 The twisted product ``u o v = sum R(u', v') u'' v''`` deforms the normal
 product by propagator contractions; with the symmetric symbols it is
-commutative and fold-generates the chronological product.
+commutative and fold-generates the chronological product.  It extends
+bilinearly from basis monomials, pairing only equal-power parts of their
+coproducts; every sum goes through ``scalar._accumulate``, so this module
+never reads how a :class:`~qftalg.scalar.PropPoly` stores its terms.
 
 Memo tables cache bicharacter values and chronological products of basis
 monomials; entries are idempotent, so concurrent reads/writes are benign
@@ -20,7 +23,7 @@ and results do not depend on evaluation order.
 from __future__ import annotations
 
 import enum
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, ModeError
@@ -55,70 +58,70 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
     ``R(a, bc) = sum R(a', b) R(a'', c)`` down to generator pairs, with
     ``R(1, v) = counit(v)`` and ``R(u, 1) = counit(u)``.
     """
-    if u.is_unit:
-        return PropPoly.one() if v.is_unit else PropPoly.zero()
-    if v.is_unit:
-        return PropPoly.zero()
     # power balance: the generator pairing is diagonal, so mismatched total
-    # field powers can never contract completely
+    # field powers can never contract completely (this covers a unit
+    # against a non-unit)
     if u.total_power != v.total_power:
         return PropPoly.zero()
+    if u.is_unit:
+        return PropPoly.one()
     key = (u, v, mode)
     cached = _R_CACHE.get(key)
     if cached is not None:
         return cached
-    if u.size == 1:
-        if v.size == 1:
-            result = r_generators(u.occurrences()[0], v.occurrences()[0], mode)
-        else:
-            # split v = h * rest and expand through the coproduct of u's
-            # single generator
-            point, n = u.occurrences()[0]
-            h, rest = v.split_first()
-            h_mono = Monomial.of(h)
-            result = PropPoly.zero()
-            for k in range(n + 1):
-                left = Monomial.of(Generator(point, k)) if k else Monomial.unit()
-                right = Monomial.of(Generator(point, n - k)) if k < n else Monomial.unit()
-                piece = r_bicharacter(left, h_mono, mode)
-                if not piece:
-                    continue
-                piece = piece * r_bicharacter(right, rest, mode)
-                if piece:
-                    result = result + comb(n, k) * piece
-    else:
+    if u.size > 1:
+        # R(g * rest, v) = sum R(g, v') R(rest, v'')
         g, rest = u.split_first()
-        g_mono = Monomial.of(g)
-        result = PropPoly.zero()
-        for (v1, v2), c in monomial_coproduct(v):
-            piece = r_bicharacter(g_mono, v1, mode)
-            if not piece:
-                continue
-            piece = piece * r_bicharacter(rest, v2, mode)
-            if piece:
-                result = result + c * piece
+        g = Monomial.of(g)
+        result = _poly_sum(
+            c * (first * r_bicharacter(rest, v2, mode))
+            for (v1, v2), c in monomial_coproduct(v)
+            if (first := r_bicharacter(g, v1, mode))
+        )
+    elif v.size > 1:
+        # R(u, h * rest) = sum R(u', h) R(u'', rest)
+        h, rest = v.split_first()
+        h = Monomial.of(h)
+        result = _poly_sum(
+            c * (first * r_bicharacter(u2, rest, mode))
+            for (u1, u2), c in monomial_coproduct(u)
+            if (first := r_bicharacter(u1, h, mode))
+        )
+    else:
+        result = r_generators(u.occurrences()[0], v.occurrences()[0], mode)
     _R_CACHE[key] = result
     return result
 
 
-_BUCKET_CACHE: dict[Monomial, dict[int, tuple]] = {}
+_BUCKET_CACHE: dict[Monomial, dict[int, list]] = {}
 
 
-def _coproduct_by_power(mono: Monomial) -> dict[int, tuple]:
+def _coproduct_by_power(mono: Monomial) -> dict[int, list]:
     """Contraction coproduct grouped by the left slot's total field power.
 
     The bicharacter pairing vanishes across unequal powers, so the twisted
     product only ever pairs equal-power buckets.
     """
-    cached = _BUCKET_CACHE.get(mono)
-    if cached is not None:
-        return cached
-    buckets: dict[int, list] = {}
-    for (left, right), c in monomial_coproduct(mono):
-        buckets.setdefault(left.total_power, []).append((left, right, c))
-    result = {power: tuple(entries) for power, entries in buckets.items()}
-    _BUCKET_CACHE[mono] = result
-    return result
+    buckets = _BUCKET_CACHE.get(mono)
+    if buckets is None:
+        buckets = {}
+        for (left, right), c in monomial_coproduct(mono):
+            buckets.setdefault(left.total_power, []).append((left, right, c))
+        _BUCKET_CACHE[mono] = buckets
+    return buckets
+
+
+def _twisted_monomials(mu: Monomial, mv: Monomial, mode: RMode) -> Element:
+    """``mu o mv = sum R(mu', mv') mu'' mv''`` on two basis monomials,
+    pairing only the equal-power buckets of their coproducts."""
+    dv = _coproduct_by_power(mv)
+    return Element._raw(_accumulate(
+        (a2 * b2, r * (ca * cb))
+        for power, left_terms in _coproduct_by_power(mu).items()
+        for a1, a2, ca in left_terms
+        for b1, b2, cb in dv.get(power, ())
+        if (r := r_bicharacter(a1, b1, mode))
+    ))
 
 
 def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Element:
@@ -127,58 +130,11 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     Associative in both modes; commutative in chronological mode.  Setting
     every propagator symbol to zero recovers the normal product.
     """
-    # accumulate coefficients in mutable maps, scaling by the outer
-    # coefficient once per result monomial instead of per contraction term
-    acc: dict[Monomial, dict] = {}
-
-    def fold(mono, terms):
-        slot = acc.get(mono)
-        if slot is None:
-            acc[mono] = dict(terms)
-            return
-        for symmap, coeff in terms.items():
-            slot[symmap] = slot.get(symmap, 0) + coeff
-
-    for mu, pu in u.terms.items():
-        du = _coproduct_by_power(mu)
-        for mv, pv in v.terms.items():
-            outer = pu * pv
-            dv = _coproduct_by_power(mv)
-            pair_acc: dict[Monomial, dict] = {}
-            for power, left_terms in du.items():
-                right_terms = dv.get(power)
-                if right_terms is None:
-                    continue
-                for a1, a2, ca in left_terms:
-                    for b1, b2, cb in right_terms:
-                        r = r_bicharacter(a1, b1, mode)
-                        if not r:
-                            continue
-                        c = ca * cb
-                        key = a2 * b2
-                        slot = pair_acc.get(key)
-                        if slot is None:
-                            slot = pair_acc[key] = {}
-                        if c == 1:
-                            for symmap, coeff in r.terms.items():
-                                slot[symmap] = slot.get(symmap, 0) + coeff
-                        else:
-                            for symmap, coeff in r.terms.items():
-                                slot[symmap] = slot.get(symmap, 0) + coeff * c
-            if outer.is_one():
-                for mono, slot in pair_acc.items():
-                    fold(mono, slot)
-            else:
-                for mono, slot in pair_acc.items():
-                    clean = {symmap: q for symmap, q in slot.items() if q}
-                    if clean:
-                        fold(mono, (PropPoly._raw(clean) * outer).terms)
-    out: dict[Monomial, PropPoly] = {}
-    for mono, slot in acc.items():
-        clean = {symmap: q for symmap, q in slot.items() if q}
-        if clean:
-            out[mono] = PropPoly._raw(clean)
-    return Element._raw(out)
+    return _linear_sum(
+        (pu * pv, _twisted_monomials(mu, mv, mode))
+        for mu, pu in u.terms.items()
+        for mv, pv in v.terms.items()
+    )
 
 
 _T_CACHE: dict[Monomial, Element] = {}
@@ -222,16 +178,9 @@ def chronological(
     return _chronological_monomial(Monomial.from_occurrences(factors))
 
 
-_t_cache: dict[Monomial, PropPoly] = {}
-
-
 def t_monomial(mono: Monomial) -> PropPoly:
     """Scalar part of the chronological product of a basis monomial."""
-    cached = _t_cache.get(mono)
-    if cached is None:
-        cached = _chronological_monomial(mono).counit()
-        _t_cache[mono] = cached
-    return cached
+    return _chronological_monomial(mono).counit()
 
 
 def t_functional(u: Element | Monomial, mode: RMode = RMode.CHRONOLOGICAL) -> PropPoly:

@@ -132,12 +132,7 @@ class Monomial:
         return self.factors < other.factors
 
     def __str__(self):
-        if not self.factors:
-            return "1"
-        parts = []
-        for gen, mult in self.factors:
-            parts.extend([str(gen)] * mult)
-        return "*".join(parts)
+        return "*".join(map(str, self.occurrences())) or "1"
 
     def __repr__(self):
         return f"Monomial({self})"
@@ -465,6 +460,32 @@ def counit(u: Element) -> PropPoly:
     return u.counit()
 
 
+def _split(mono: Monomial, split_generator: Callable[[Generator], tuple]) -> tuple:
+    """Coproduct of a basis monomial, split one generator occurrence at a
+    time: ``split_generator(g)`` gives ``(left, right, coefficient)``
+    triples, a side being a generator or ``None`` for the unit."""
+    acc: dict = {(_UNIT, _UNIT): 1}
+    for gen in mono.occurrences():
+        acc = _accumulate(
+            ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
+            for (left, right), c in acc.items()
+            for g1, g2, k in split_generator(gen)
+        )
+    return tuple(acc.items())
+
+
+def _binomial_split(gen: Generator) -> tuple:
+    """``phi^n(x) -> sum_k C(n,k) phi^k(x) (x) phi^(n-k)(x)``."""
+    point, n = gen
+    powers = [None] + [Generator(point, k) for k in range(1, n + 1)]
+    return tuple((powers[k], powers[n - k], comb(n, k)) for k in range(n + 1))
+
+
+def _primitive_split(gen: Generator) -> tuple:
+    """``g -> g (x) 1 + 1 (x) g``."""
+    return ((gen, None, 1), (None, gen, 1))
+
+
 _DELTA_CACHE: dict[Monomial, tuple] = {}
 _DELTA_PRIME_CACHE: dict[Monomial, tuple] = {}
 
@@ -476,40 +497,18 @@ def monomial_coproduct(mono: Monomial) -> tuple:
     coefficients are products of binomials, one per generator occurrence.
     """
     cached = _DELTA_CACHE.get(mono)
-    if cached is not None:
-        return cached
-    acc: dict[tuple[Monomial, Monomial], int] = {(_UNIT, _UNIT): 1}
-    for gen in mono.occurrences():
-        point, n = gen
-        nxt: dict[tuple[Monomial, Monomial], int] = {}
-        for (left, right), c in acc.items():
-            for k in range(n + 1):
-                nl = left.append(Generator(point, k)) if k else left
-                nr = right.append(Generator(point, n - k)) if k < n else right
-                key = (nl, nr)
-                nxt[key] = nxt.get(key, 0) + c * comb(n, k)
-        acc = nxt
-    result = tuple(acc.items())
-    _DELTA_CACHE[mono] = result
-    return result
+    if cached is None:
+        cached = _DELTA_CACHE[mono] = _split(mono, _binomial_split)
+    return cached
 
 
 def monomial_coproduct_prime(mono: Monomial) -> tuple:
     """Partition coproduct of a basis monomial: occurrences go left or right
     wholesale; repeated occurrences produce binomial multiplicities."""
     cached = _DELTA_PRIME_CACHE.get(mono)
-    if cached is not None:
-        return cached
-    acc: dict[tuple[Monomial, Monomial], int] = {(_UNIT, _UNIT): 1}
-    for gen in mono.occurrences():
-        nxt: dict[tuple[Monomial, Monomial], int] = {}
-        for (left, right), c in acc.items():
-            for key in ((left.append(gen), right), (left, right.append(gen))):
-                nxt[key] = nxt.get(key, 0) + c
-        acc = nxt
-    result = tuple(acc.items())
-    _DELTA_PRIME_CACHE[mono] = result
-    return result
+    if cached is None:
+        cached = _DELTA_PRIME_CACHE[mono] = _split(mono, _primitive_split)
+    return cached
 
 
 def monomial_coaction(mono: Monomial) -> tuple:
@@ -578,22 +577,19 @@ def kernel_project(u: Element, strict: bool) -> Element:
     return u - Element.scalar(eps)
 
 
+def _nontrivial(splits: tuple) -> tuple:
+    """The splits whose two sides both differ from 1."""
+    return tuple((pair, c) for pair, c in splits if not pair[0].is_unit and not pair[1].is_unit)
+
+
 def monomial_reduced_prime(mono: Monomial) -> tuple:
     """Partition coproduct with the two trivial splits removed (mono != 1)."""
-    return tuple(
-        (pair, c)
-        for pair, c in monomial_coproduct_prime(mono)
-        if not pair[0].is_unit and not pair[1].is_unit
-    )
+    return _nontrivial(monomial_coproduct_prime(mono))
 
 
 def monomial_reduced(mono: Monomial) -> tuple:
     """Contraction coproduct with the two trivial splits removed (mono != 1)."""
-    return tuple(
-        (pair, c)
-        for pair, c in monomial_coproduct(mono)
-        if not pair[0].is_unit and not pair[1].is_unit
-    )
+    return _nontrivial(monomial_coproduct(mono))
 
 
 def reduced_prime(u: Element, strict: bool = True) -> Tensor:

@@ -90,19 +90,20 @@ class Vertex:
 
         Malformed tables raise :class:`ValueError` (or :class:`KeyError`
         for a missing field): a top level or a ``from``/``to`` list that is
-        not an array of objects, a power that is not an integer >= 1, a
-        multiplicity that is not an integer >= 0, a zero denominator.
+        not an array of objects, a point that is not a string, a power that
+        is not an integer >= 1, a multiplicity that is not an integer >= 0,
+        a zero denominator.
         """
         rules: dict[Monomial, Element] = {}
         for entry in _objects(json.loads(text), "vertex file"):
             source = Monomial(
-                (Generator(f["point"], _int_field(f, "power", 1)), _int_field(f, "mult", 0))
+                (Generator(_point_field(f), _int_field(f, "power", 1)), _int_field(f, "mult", 0))
                 for f in _objects(entry["from"], "from")
             )
             image = _linear_sum(
                 (
                     PropPoly.constant(parse_frac(str(t["coeff"]))),
-                    Element.from_generator(Generator(t["point"], _int_field(t, "power", 1))),
+                    Element.from_generator(Generator(_point_field(t), _int_field(t, "power", 1))),
                 )
                 for t in _objects(entry["to"], "to")
             )
@@ -124,6 +125,14 @@ def _int_field(obj: dict, key: str, low: int) -> int:
     value = obj[key]
     if type(value) is not int or value < low:
         raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _point_field(obj: dict) -> str:
+    """``obj["point"]`` if it is a string; else ValueError."""
+    value = obj["point"]
+    if not isinstance(value, str):
+        raise ValueError(f"point must be a string, got {value!r}")
     return value
 
 

@@ -219,19 +219,14 @@ class PropPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return _ZERO
-            return PropPoly._raw({s: c * q for s, c in self.terms.items()})
+            return self._scaled(other) if other else _ZERO
         if not isinstance(other, PropPoly):
             return NotImplemented
         # constant polynomials scale without any symbol-map merging
         if len(other.terms) == 1 and () in other.terms:
-            q = other.terms[()]
-            return PropPoly._raw({s: c * q for s, c in self.terms.items()})
+            return self._scaled(other.terms[()])
         if len(self.terms) == 1 and () in self.terms:
-            q = self.terms[()]
-            return PropPoly._raw({s: c * q for s, c in other.terms.items()})
+            return other._scaled(self.terms[()])
         return PropPoly._raw(_accumulate(
             (_merge_symmaps(s1, s2), c1 * c2)
             for s1, c1 in self.terms.items()
@@ -239,6 +234,12 @@ class PropPoly:
         ))
 
     __rmul__ = __mul__
+
+    def _scaled(self, q) -> "PropPoly":
+        # q is a nonzero rational; scaling by 1 shares the (immutable) value
+        if q == 1:
+            return self
+        return PropPoly._raw({s: c * q for s, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:

@@ -12,6 +12,8 @@ shared code path into the implementations under test:
   schemes); this is convention-free.
 * :func:`bicharacter_swapped` re-runs the recursive extension with the
   slot-swapped laws, to show the convention choice does not matter.
+* :func:`twisted_tables` expands the twisted product of two monomials
+  over partial contraction tables between their occurrences.
 * :func:`matchings_t` evaluates the degree-one scalar functional as a sum
   over perfect matchings.
 """
@@ -60,18 +62,19 @@ def delta_prime_subsets(mono: Monomial) -> Tensor:
     return Tensor(2, {k: PropPoly.constant(v) for k, v in acc.items()})
 
 
-def _margin_matrices(rows, cols):
-    """All nonnegative integer matrices with the given row/column sums."""
+def _margin_matrices(rows, cols, partial=False):
+    """All nonnegative integer matrices with the given row/column sums, or
+    with sums at most the given ones if ``partial``."""
     if not rows:
-        if all(c == 0 for c in cols):
+        if partial or all(c == 0 for c in cols):
             yield []
         return
     first, rest = rows[0], rows[1:]
 
     def fill(j, remaining, current, cols_left):
         if j == len(cols_left):
-            if remaining == 0:
-                for tail in _margin_matrices(rest, cols_left):
+            if partial or remaining == 0:
+                for tail in _margin_matrices(rest, cols_left, partial):
                     yield [list(current)] + tail
             return
         for v in range(min(remaining, cols_left[j]) + 1):
@@ -152,6 +155,43 @@ def bicharacter_swapped(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
             Monomial.of(g), v2, mode
         )
         total = total + c * piece
+    return total
+
+
+def twisted_tables(u: Monomial, v: Monomial, mode: RMode) -> Element:
+    """Twisted product of two monomials as a sum over partial contraction
+    tables.
+
+    Rows are the occurrences ``phi^{n_i}(x_i)`` of ``u``, columns the
+    occurrences ``phi^{m_j}(y_j)`` of ``v``; a nonnegative integer matrix M
+    with row sums ``r_i <= n_i`` and column sums ``c_j <= m_j`` contracts
+    ``M_ij`` fields of occurrence i with fields of occurrence j.  It
+    contributes ``prod n_i!/(n_i-r_i)! prod m_j!/(m_j-c_j)! / prod M_ij!``
+    times ``prod s(x_i, y_j)^{M_ij}`` (oriented u -> v in operator mode)
+    times the leftover ``prod phi^{n_i-r_i}(x_i) prod phi^{m_j-c_j}(y_j)``.
+    """
+    uocc = u.occurrences()
+    vocc = v.occurrences()
+    symbol = D if mode is RMode.CHRONOLOGICAL else Dplus
+    total = Element.zero()
+    tables = _margin_matrices([g.power for g in uocc], [g.power for g in vocc], partial=True)
+    for matrix in tables:
+        weight = Fraction(1)
+        powers = []
+        leftover = []
+        for g, row in zip(uocc, matrix):
+            r = sum(row)
+            weight *= Fraction(factorial(g.power), factorial(g.power - r))
+            leftover.append(Generator(g.point, g.power - r))
+            for h, k in zip(vocc, row):
+                weight /= factorial(k)
+                powers.append((symbol(g.point, h.point), k))
+        for j, h in enumerate(vocc):
+            c = sum(row[j] for row in matrix)
+            weight *= Fraction(factorial(h.power), factorial(h.power - c))
+            leftover.append(Generator(h.point, h.power - c))
+        rest = Monomial.from_occurrences(g for g in leftover if g.power)
+        total = total + Element.from_monomial(rest, PropPoly.from_symbol_powers(powers, weight))
     return total
 
 

@@ -4,6 +4,7 @@ each module defines, and the public attributes of the core classes."""
 
 import importlib
 import types
+from pathlib import Path
 
 import qftalg
 
@@ -82,3 +83,14 @@ def test_module_definitions():
 def test_class_attributes():
     for name, expected in CLASSES.items():
         assert public(dir(getattr(qftalg, name))) == expected, name
+
+
+def test_proppoly_representation_is_private():
+    # only scalar.py knows how a PropPoly stores its terms; every other
+    # module goes through its operators and scalar._accumulate
+    for path in sorted(Path(qftalg.__file__).parent.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for name in ("PropPoly._raw", "_merge_symmaps"):
+            assert name not in text, f"{path.name} names {name}"

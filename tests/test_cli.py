@@ -354,6 +354,36 @@ class TestExitCodes:
             assert (code, out) == (2, ""), text
             assert err == f"error: bad vertex file: {message}\n", text
 
+    def test_vertex_point_must_be_a_string(self, tmp_path):
+        # a number in "to" used to reach Monomial.__init__ as a TypeError;
+        # one in "from" was accepted and matched nothing
+        source = [{"point": "x", "power": 1, "mult": 1}]
+        target = [{"point": "x", "power": 1, "coeff": "1/1"}]
+        other = {"from": [dict(source[0], point="y")], "to": [dict(target[0], point="y")]}
+        cases = {
+            json.dumps([{"from": source, "to": [dict(target[0], point=7)]}, other]): 7,
+            json.dumps([{"from": [dict(source[0], point=5)], "to": target}]): 5,
+        }
+        bad = tmp_path / "vertex.json"
+        for text, point in cases.items():
+            bad.write_text(text)
+            code, out, err = run_cli("TR", "--expr", "phi(x)*phi(y)", "--vertex", str(bad))
+            assert (code, out) == (2, ""), text
+            assert err == f"error: bad vertex file: point must be a string, got {point}\n", text
+
+    def test_too_deep_input_is_a_usage_error(self):
+        too_deep = "error: input too deep to evaluate (recursion limit exceeded)\n"
+        # nested parentheses and unary minus recurse in the parser; the
+        # "--expr=" form keeps argparse from reading the text as a flag;
+        # a 1200-occurrence product recurses in the chronological fold
+        cases = [
+            ("t", "--expr", "(" * 3000 + "phi(x)" + ")" * 3000),
+            ("t", "--expr=" + "-" * 3000 + "phi(x)"),
+            ("t", "--expr", "*".join(f"phi(x{i % 4})" for i in range(1200))),
+        ]
+        for argv in cases:
+            assert run_cli(*argv) == (2, "", too_deep), argv[1][:20]
+
     def test_bad_seed_environment(self, monkeypatch):
         monkeypatch.setenv("QFTALG_SEED", "abc")
         code, out, err = run_cli("check", "--law", "antipode", "--random-count", "1")

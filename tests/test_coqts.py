@@ -17,7 +17,7 @@ from qftalg.errors import ModeError
 from qftalg.hopf import Element, Generator, Monomial
 from qftalg.scalar import D, Dplus, PropPoly, poly_eval
 
-from oracles import bicharacter_contingency, bicharacter_swapped, mono, phi
+from oracles import bicharacter_contingency, bicharacter_swapped, mono, phi, twisted_tables
 
 UNIT = Monomial.unit()
 BOTH_MODES = [RMode.CHRONOLOGICAL, RMode.OPERATOR]
@@ -151,6 +151,51 @@ class TestTwistedProduct:
         ]
         for u, v in pairs:
             assert zero_all_symbols(twisted_product(u, v, mode)) == u * v
+
+
+# the unit, repeated occurrences and unequal powers, over two points
+TABLE_FAMILY = [
+    UNIT,
+    mono(("x", 1)),
+    mono(("y", 2)),
+    mono(("x", 1), ("x", 1)),
+    mono(("x", 2), ("y", 1)),
+    mono(("y", 3)),
+    mono(("x", 1), ("y", 1), ("y", 1)),
+    mono(("x", 2), ("y", 2)),
+]
+
+
+class TestTwistedAgainstTables:
+    def test_oracle_example(self):
+        dxy = PropPoly.symbol(D("x", "y"))
+        expected = (
+            phi("x", 2) * phi("y", 2)
+            + (4 * dxy) * (phi("x") * phi("y"))
+            + Element.scalar(2 * dxy * dxy)
+        )
+        assert twisted_tables(mono(("x", 2)), mono(("y", 2)), RMode.CHRONOLOGICAL) == expected
+
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_every_pair_of_monomials(self, mode):
+        for u, v in itertools.product(TABLE_FAMILY, TABLE_FAMILY):
+            got = twisted_product(Element.from_monomial(u), Element.from_monomial(v), mode)
+            assert got == twisted_tables(u, v, mode), (str(u), str(v))
+
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_bilinear_extension(self, mode):
+        rng = random.Random(5)
+        coeffs = [
+            PropPoly.constant(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+            + rng.randint(0, 1) * PropPoly.symbol(D("x", "z"))
+            for _ in TABLE_FAMILY
+        ]
+        u = Element(dict(zip(TABLE_FAMILY, coeffs)))
+        v = Element(dict(zip(TABLE_FAMILY[::-1], coeffs)))
+        expected = Element.zero()
+        for (a, ca), (b, cb) in itertools.product(u.terms.items(), v.terms.items()):
+            expected = expected + (ca * cb) * twisted_tables(a, b, mode)
+        assert twisted_product(u, v, mode) == expected
 
 
 class TestChronological:
