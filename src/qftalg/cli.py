@@ -196,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(args.vertex, "r", encoding="utf-8") as handle:
                     vertex = Vertex.from_json(handle.read())
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError) as exc:
                 return _usage_error(f"bad vertex file: {exc}")
             expr = _kernel_lenient(_parse_expr(args.expr))
             _emit(renormalized_T(expr, vertex, strict=False), args.output)

@@ -1,16 +1,23 @@
 """Connected and renormalized chronological products.
 
-Both products are finite alternating/exponential sums over iterates of the
-reduced partition coproduct:
+Both products are finite sums over the set partitions ``pi`` of the
+generator occurrences of a monomial ``m``, each block ``B`` read as the
+sub-monomial ``m_B``:
 
-* connected:     ``T_c(u) = sum_{n>=1} (-1)^(n+1)/n  T(u_1)...T(u_n)``
-* renormalized:  ``T_R(u) = sum_{n>=1} 1/n!  T(O(u_1)...O(u_n))``
+* connected:     ``T_c(m) = sum_pi (-1)^(k-1) (k-1)!  T(m_B1)...T(m_Bk)``
+* renormalized:  ``T_R(m) = T(sum_pi O(m_B1)...O(m_Bk))``
 
-where ``u_1 (x) ... (x) u_n`` runs over the (n-1)-st reduced-partition
-iterate and ``O`` is a pluggable generalized vertex (a linear map from the
-algebra into the span of single generators).  Every series terminates: the
-n-th iterate vanishes once n reaches the occurrence count of the largest
-monomial.  Products between the ``T(...)`` factors are normal products.
+where ``k`` is the number of blocks of ``pi`` and ``O`` is a pluggable
+generalized vertex (a linear map from the algebra into the span of single
+generators).  ``T_c`` is the logarithm of ``T`` over the partition
+lattice, whose Moebius function gives its weights (Rota, "On the
+foundations of combinatorial theory I", 1964); ``T_R`` is ``T`` after the
+exponential of ``O``.  The same sums arise from the ordered iterates of
+the reduced partition coproduct, with weights ``(-1)^(n+1)/n`` and
+``1/n!``: each k-block partition appears there once per ordering of its
+blocks.  Products between the ``T(...)`` factors are normal products, and
+since the counit is multiplicative for them, ``t_c(m)`` is the same sum
+over the scalars ``t(m_B)``.
 
 Conventions: ``t(1) = 1`` and ``t_c(1) = 0``, the unit of S(C) being the
 empty vertex word.  The connected expansion ``T_c(u) = sum t_c(u')u''``
@@ -28,13 +35,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from fractions import Fraction
 from functools import reduce
 from math import factorial
 from operator import mul
 from typing import Mapping
 
-from .coqts import chronological
+from .coqts import chronological, t_monomial
 from .errors import IdentityViolation
 from .hopf import (
     Element,
@@ -43,7 +49,7 @@ from .hopf import (
     _linear_sum,
     kernel_project,
     monomial_coaction,
-    monomial_reduced_prime,
+    monomial_coproduct_prime,
     Tensor,
     VertexWord,
 )
@@ -88,24 +94,27 @@ class Vertex:
         """Parse the rule-table format: a JSON array of
         ``{"from": monomial, "to": [{"point", "power", "coeff": "p/q"}]}``.
 
-        Malformed tables raise :class:`ValueError` (or :class:`KeyError`
-        for a missing field): a top level or a ``from``/``to`` list that is
-        not an array of objects, a point that is not a string, a power that
+        Malformed tables raise :class:`ValueError`: a top level or a
+        ``from``/``to`` list that is not an array of objects, a missing
+        field, a point or a coefficient that is not a string, a power that
         is not an integer >= 1, a multiplicity that is not an integer >= 0,
         a zero denominator.
         """
         rules: dict[Monomial, Element] = {}
         for entry in _objects(json.loads(text), "vertex file"):
             source = Monomial(
-                (Generator(_point_field(f), _int_field(f, "power", 1)), _int_field(f, "mult", 0))
-                for f in _objects(entry["from"], "from")
+                (Generator(_str_field(f, "point", "from"), _int_field(f, "power", 1, "from")),
+                 _int_field(f, "mult", 0, "from"))
+                for f in _objects(_field(entry, "from", "vertex file"), "from")
             )
             image = _linear_sum(
                 (
-                    PropPoly.constant(parse_frac(str(t["coeff"]))),
-                    Element.from_generator(Generator(_point_field(t), _int_field(t, "power", 1))),
+                    PropPoly.constant(parse_frac(_str_field(t, "coeff", "to"))),
+                    Element.from_generator(
+                        Generator(_str_field(t, "point", "to"), _int_field(t, "power", 1, "to"))
+                    ),
                 )
-                for t in _objects(entry["to"], "to")
+                for t in _objects(_field(entry, "to", "vertex file"), "to")
             )
             if source in rules:
                 raise ValueError(f"duplicate vertex rule for {source}")
@@ -120,19 +129,26 @@ def _objects(value, what: str) -> list:
     return value
 
 
-def _int_field(obj: dict, key: str, low: int) -> int:
+def _field(obj: dict, key: str, where: str):
+    """``obj[key]``; a ValueError naming the field and its list if absent."""
+    if key not in obj:
+        raise ValueError(f'missing "{key}" in {where}')
+    return obj[key]
+
+
+def _int_field(obj: dict, key: str, low: int, where: str) -> int:
     """``obj[key]`` if it is an integer ``>= low``; else ValueError."""
-    value = obj[key]
+    value = _field(obj, key, where)
     if type(value) is not int or value < low:
         raise ValueError(f"{key} must be an integer >= {low}, got {value!r}")
     return value
 
 
-def _point_field(obj: dict) -> str:
-    """``obj["point"]`` if it is a string; else ValueError."""
-    value = obj["point"]
+def _str_field(obj: dict, key: str, where: str) -> str:
+    """``obj[key]`` if it is a string; else ValueError."""
+    value = _field(obj, key, where)
     if not isinstance(value, str):
-        raise ValueError(f"point must be a string, got {value!r}")
+        raise ValueError(f"{key} must be a string, got {value!r}")
     return value
 
 
@@ -146,22 +162,49 @@ def zero_vertex() -> Vertex:
     return Vertex()
 
 
+def _partitions(mono: Monomial) -> dict:
+    """The set partitions of the occurrences of ``mono``: a dict from each
+    sorted tuple of block monomials to the number of labelled partitions
+    that give it.  The block of the first occurrence ``g`` is ``g`` times
+    the left side of each partition-coproduct split of the rest, whose
+    coefficient counts the labelled choices; the right side is partitioned
+    in turn."""
+    if mono.is_unit:
+        return {(): 1}
+    g, rest = mono.split_first()
+    return _accumulate(
+        (tuple(sorted(blocks + (left.append(g),))), c * n)
+        for (left, right), c in monomial_coproduct_prime(rest)
+        for blocks, n in _partitions(right).items()
+    )
+
+
 def _reduced_partition_terms(u: Element):
-    """Yield ``(n, tensor_terms)`` for n = 1, 2, ... until the iterate dies."""
-    current = Tensor.from_element(u)
-    n = 1
-    while current:
-        yield n, current
-        current = current.apply_to_slot(0, monomial_reduced_prime)
-        n += 1
+    """Yield ``(k, tensor)`` for each block count k, in increasing order:
+    the k-slot tensor of the set partitions of the monomials of ``u`` into
+    k blocks, each weighted by its coefficient in ``u`` times its
+    labelled count.  (The name is older than the set-partition sums;
+    ``wickbench/tracer.py`` counts the terms renorm sums through it.)"""
+    by_count: dict[int, list] = {}
+    for mono, coeff in u.terms.items():
+        for blocks, n in _partitions(mono).items():
+            by_count.setdefault(len(blocks), []).append((blocks, coeff * n))
+    for k in sorted(by_count):
+        yield k, Tensor._raw(k, _accumulate(by_count[k]))
+
+
+def _mobius(k: int) -> int:
+    """``(-1)^(k-1) (k-1)!``: the weight of a k-block partition in the
+    logarithm over the partition lattice."""
+    return (-1) ** (k - 1) * factorial(k - 1)
 
 
 def connected_T(u: Element, strict: bool = True) -> Element:
     """The connected chronological product on the counit kernel."""
     u = kernel_project(u, strict)
     return _linear_sum(
-        (c * Fraction((-1) ** (n + 1), n), reduce(mul, map(chronological, slots)))
-        for n, tensor in _reduced_partition_terms(u)
+        (c * _mobius(k), reduce(mul, map(chronological, slots)))
+        for k, tensor in _reduced_partition_terms(u)
         for slots, c in tensor.terms.items()
     )
 
@@ -170,13 +213,17 @@ _tc_cache: dict[Monomial, PropPoly] = {}
 
 
 def _t_c_monomial(mono: Monomial) -> PropPoly:
-    """Connected scalar functional on a basis monomial; t_c(1) = 0."""
+    """Connected scalar functional on a basis monomial; t_c(1) = 0.  The
+    counit is multiplicative for the normal product, so this is the
+    partition sum of ``T_c`` over the scalars ``t(m_B)``."""
     if mono.is_unit:
         return PropPoly.zero()
     cached = _tc_cache.get(mono)
     if cached is None:
-        cached = connected_T(Element.from_monomial(mono)).counit()
-        _tc_cache[mono] = cached
+        cached = _tc_cache[mono] = _poly_sum(
+            n * _mobius(len(blocks)) * reduce(mul, map(t_monomial, blocks))
+            for blocks, n in _partitions(mono).items()
+        )
     return cached
 
 
@@ -231,12 +278,13 @@ def comodule_expansion_check(u: Element, strict: bool = True) -> Element:
 def renormalized_T(u: Element, vertex: Vertex, strict: bool = True) -> Element:
     """The renormalized chronological product with generalized vertex ``O``.
 
-    ``T`` is linear, so the series ``sum c/n! O(u_1)...O(u_n)`` is summed
-    into one element first and ``T`` applied to it once.
+    Each set partition of a monomial of ``u`` contributes the normal
+    product of the vertex images of its blocks, with weight 1; ``T`` is
+    linear, so that sum is formed first and ``T`` applied to it once.
     """
     u = kernel_project(u, strict)
     return chronological(_linear_sum(
-        (c * Fraction(1, factorial(n)), reduce(mul, map(vertex.image, slots)))
-        for n, tensor in _reduced_partition_terms(u)
+        (c, reduce(mul, map(vertex.image, slots)))
+        for _, tensor in _reduced_partition_terms(u)
         for slots, c in tensor.terms.items()
     ))

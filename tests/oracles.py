@@ -16,6 +16,8 @@ shared code path into the implementations under test:
   over partial contraction tables between their occurrences.
 * :func:`matchings_t` evaluates the degree-one scalar functional as a sum
   over perfect matchings.
+* :func:`set_partitions` lists the set partitions of labelled items one
+  by one (Bell(n) of them), with no grouping of equal blocks.
 """
 
 from __future__ import annotations
@@ -217,6 +219,20 @@ def matchings_t(points) -> PropPoly:
     for pairing in pairings(points):
         total = total + PropPoly.from_symbol_powers((D(a, b), 1) for a, b in pairing)
     return total
+
+
+def set_partitions(items: list):
+    """Yield every set partition of ``items`` as a list of blocks: the
+    first item joins each block of a partition of the rest, or stands
+    alone."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [[head]] + partition
+        for i in range(len(partition)):
+            yield partition[:i] + [[head] + partition[i]] + partition[i + 1:]
 
 
 def phi(point: str, power: int = 1) -> Element:

@@ -135,6 +135,104 @@ RENDER_VERTEX = [
 ]
 
 
+# Repeated generators: a set partition of the occurrences can have equal
+# blocks, and its labelled count then differs from one.  Recorded before
+# T_c, t_c and T_R were summed over set partitions instead of ordered
+# reduced-coproduct iterates.
+REPEATED_EXPR = "phi^2(x1)*phi^2(x1)*phi(x2)*phi(x2)-2/3*phi^2(x1)*phi^2(x2)*phi^2(x2)"
+REPEATED_TR_EXPR = "phi^2(x1)*phi^2(x1)*phi(x2)*phi(x2)"
+
+GOLDEN_TC_REPEATED = (
+    '8*D(x1,x1)*D(x1,x2)^2 - 16/3*D(x1,x2)^2*D(x2,x2) - 32/3*D(x1,x2)*D(x2,x2)*phi(x1)*'
+    'phi(x2) - 16/3*D(x1,x2)^2*phi(x2)*phi(x2)\n'
+)
+
+GOLDEN_TC_REPEATED_JSON = (
+    '[{"monomial": [], "coeff": [{"coeff": "8/1", "symbols": [{"kind": "D", '
+    '"a": "x1", "b": "x1", "pow": 1}, {"kind": "D", "a": "x1", "b": "x2", "pow": '
+    '2}]}, {"coeff": "-16/3", "symbols": [{"kind": "D", "a": "x1", "b": "x2", '
+    '"pow": 2}, {"kind": "D", "a": "x2", "b": "x2", "pow": 1}]}]}, {"monomial": '
+    '[{"point": "x1", "power": 1, "mult": 1}, {"point": "x2", "power": 1, "mult": '
+    '1}], "coeff": [{"coeff": "-32/3", "symbols": [{"kind": "D", "a": "x1", '
+    '"b": "x2", "pow": 1}, {"kind": "D", "a": "x2", "b": "x2", "pow": 1}]}]}, '
+    '{"monomial": [{"point": "x2", "power": 1, "mult": 2}], "coeff": [{"coeff": '
+    '"-16/3", "symbols": [{"kind": "D", "a": "x1", "b": "x2", "pow": 2}]}]}]\n'
+)
+
+GOLDEN_TC_SCALAR_REPEATED = (
+    '8*D(x1,x1)*D(x1,x2)^2 - 16/3*D(x1,x2)^2*D(x2,x2)\n'
+)
+
+GOLDEN_TC_SCALAR_REPEATED_JSON = (
+    '[{"coeff": "8/1", "symbols": [{"kind": "D", "a": "x1", "b": "x1", "pow": '
+    '1}, {"kind": "D", "a": "x1", "b": "x2", "pow": 2}]}, {"coeff": "-16/3", '
+    '"symbols": [{"kind": "D", "a": "x1", "b": "x2", "pow": 2}, {"kind": "D", '
+    '"a": "x2", "b": "x2", "pow": 1}]}]\n'
+)
+
+GOLDEN_TR_REPEATED = (
+    '18*D(x1,x1) - 12*D(x1,x1)*D(x1,x2) + 2*D(x1,x1)*D(x1,x2)^2 + 1/2*D(x1,x1)^2*'
+    'D(x2,x2) + (-6 + 2*D(x1,x2))*phi(x1)*phi^2(x1)*phi(x2) + (-12*D(x1,x1) '
+    '+ 4*D(x1,x1)*D(x1,x2))*phi(x1)*phi(x2) + (18 + D(x1,x1)*D(x2,x2) - 12*D(x1,x2) '
+    '+ 2*D(x1,x2)^2)*phi(x1)*phi(x1) + D(x1,x1)*phi(x1)*phi(x1)*phi(x2)*phi(x2) '
+    '+ (-6*D(x1,x2) + D(x1,x2)^2)*phi^2(x1) + 1/4*D(x2,x2)*phi^2(x1)*phi^2(x1) '
+    '+ 1/4*phi^2(x1)*phi^2(x1)*phi(x2)*phi(x2) + 1/2*D(x1,x1)^2*phi(x2)*phi(x2)\n'
+)
+
+GOLDEN_TR_REPEATED_JSON = (
+    '[{"monomial": [], "coeff": [{"coeff": "18/1", "symbols": [{"kind": "D", '
+    '"a": "x1", "b": "x1", "pow": 1}]}, {"coeff": "-12/1", "symbols": [{"kind": '
+    '"D", "a": "x1", "b": "x1", "pow": 1}, {"kind": "D", "a": "x1", "b": "x2", '
+    '"pow": 1}]}, {"coeff": "2/1", "symbols": [{"kind": "D", "a": "x1", "b": '
+    '"x1", "pow": 1}, {"kind": "D", "a": "x1", "b": "x2", "pow": 2}]}, {"coeff": '
+    '"1/2", "symbols": [{"kind": "D", "a": "x1", "b": "x1", "pow": 2}, {"kind": '
+    '"D", "a": "x2", "b": "x2", "pow": 1}]}]}, {"monomial": [{"point": "x1", '
+    '"power": 1, "mult": 1}, {"point": "x1", "power": 2, "mult": 1}, {"point": '
+    '"x2", "power": 1, "mult": 1}], "coeff": [{"coeff": "-6/1", "symbols": '
+    '[]}, {"coeff": "2/1", "symbols": [{"kind": "D", "a": "x1", "b": "x2", '
+    '"pow": 1}]}]}, {"monomial": [{"point": "x1", "power": 1, "mult": 1}, {"point": '
+    '"x2", "power": 1, "mult": 1}], "coeff": [{"coeff": "-12/1", "symbols": '
+    '[{"kind": "D", "a": "x1", "b": "x1", "pow": 1}]}, {"coeff": "4/1", "symbols": '
+    '[{"kind": "D", "a": "x1", "b": "x1", "pow": 1}, {"kind": "D", "a": "x1", '
+    '"b": "x2", "pow": 1}]}]}, {"monomial": [{"point": "x1", "power": 1, "mult": '
+    '2}], "coeff": [{"coeff": "18/1", "symbols": []}, {"coeff": "1/1", "symbols": '
+    '[{"kind": "D", "a": "x1", "b": "x1", "pow": 1}, {"kind": "D", "a": "x2", '
+    '"b": "x2", "pow": 1}]}, {"coeff": "-12/1", "symbols": [{"kind": "D", "a": '
+    '"x1", "b": "x2", "pow": 1}]}, {"coeff": "2/1", "symbols": [{"kind": "D", '
+    '"a": "x1", "b": "x2", "pow": 2}]}]}, {"monomial": [{"point": "x1", "power": '
+    '1, "mult": 2}, {"point": "x2", "power": 1, "mult": 2}], "coeff": [{"coeff": '
+    '"1/1", "symbols": [{"kind": "D", "a": "x1", "b": "x1", "pow": 1}]}]}, '
+    '{"monomial": [{"point": "x1", "power": 2, "mult": 1}], "coeff": [{"coeff": '
+    '"-6/1", "symbols": [{"kind": "D", "a": "x1", "b": "x2", "pow": 1}]}, {"coeff": '
+    '"1/1", "symbols": [{"kind": "D", "a": "x1", "b": "x2", "pow": 2}]}]}, '
+    '{"monomial": [{"point": "x1", "power": 2, "mult": 2}], "coeff": [{"coeff": '
+    '"1/4", "symbols": [{"kind": "D", "a": "x2", "b": "x2", "pow": 1}]}]}, '
+    '{"monomial": [{"point": "x1", "power": 2, "mult": 2}, {"point": "x2", '
+    '"power": 1, "mult": 2}], "coeff": [{"coeff": "1/4", "symbols": []}]}, '
+    '{"monomial": [{"point": "x2", "power": 1, "mult": 2}], "coeff": [{"coeff": '
+    '"1/2", "symbols": [{"kind": "D", "a": "x1", "b": "x1", "pow": 2}]}]}]\n'
+)
+
+# a two-generator rule whose source occurs four ways in REPEATED_TR_EXPR
+REPEATED_VERTEX = [
+    {
+        "from": [{"point": "x1", "power": 2, "mult": 1}],
+        "to": [{"point": "x1", "power": 2, "coeff": "1/1"}],
+    },
+    {
+        "from": [{"point": "x2", "power": 1, "mult": 1}],
+        "to": [{"point": "x2", "power": 1, "coeff": "-1/2"}],
+    },
+    {
+        "from": [
+            {"point": "x1", "power": 2, "mult": 1},
+            {"point": "x2", "power": 1, "mult": 1},
+        ],
+        "to": [{"point": "x1", "power": 1, "coeff": "3/1"}],
+    },
+]
+
+
 class TestGoldenOutputs:
     def test_t_four_fields(self):
         code, out, err = run_cli("t", "--expr", "phi(x1)*phi(x2)*phi(x3)*phi(x4)")
@@ -295,6 +393,25 @@ class TestRenderingGoldens:
         assert run_cli(*args) == (0, GOLDEN_TR, "")
         assert run_cli(*args, "--output", "json") == (0, GOLDEN_TR_JSON, "")
 
+    def test_connected_on_repeated_generators(self):
+        for command, pretty, as_json in (
+            ("Tc", GOLDEN_TC_REPEATED, GOLDEN_TC_REPEATED_JSON),
+            ("tc", GOLDEN_TC_SCALAR_REPEATED, GOLDEN_TC_SCALAR_REPEATED_JSON),
+        ):
+            assert run_cli(command, "--expr", REPEATED_EXPR) == (0, pretty, "")
+            assert run_cli(command, "--expr", REPEATED_EXPR, "--output", "json") == (
+                0,
+                as_json,
+                "",
+            )
+
+    def test_renormalized_on_repeated_generators(self, tmp_path):
+        vertex = tmp_path / "vertex.json"
+        vertex.write_text(json.dumps(REPEATED_VERTEX))
+        args = ("TR", "--expr", REPEATED_TR_EXPR, "--vertex", str(vertex))
+        assert run_cli(*args) == (0, GOLDEN_TR_REPEATED, "")
+        assert run_cli(*args, "--output", "json") == (0, GOLDEN_TR_REPEATED_JSON, "")
+
 
 class TestExitCodes:
     def test_usage_error_on_bad_expression(self):
@@ -345,6 +462,21 @@ class TestExitCodes:
             ),
             json.dumps([{"from": source, "to": [dict(target[0], coeff="1/0")]}]): (
                 "zero denominator in '1/0'"
+            ),
+            # a missing field is named with its list, not as a bare key
+            json.dumps([{"from": source, "to": [{"point": "x", "power": 1}]}]): (
+                'missing "coeff" in to'
+            ),
+            json.dumps([{"from": [{"point": "x", "mult": 1}], "to": target}]): (
+                'missing "power" in from'
+            ),
+            json.dumps([{"to": target}]): 'missing "from" in vertex file',
+            # the coefficient format is the string "p/q", not a JSON number
+            json.dumps([{"from": source, "to": [dict(target[0], coeff=0.5)]}]): (
+                "coeff must be a string, got 0.5"
+            ),
+            json.dumps([{"from": source, "to": [dict(target[0], coeff=2)]}]): (
+                "coeff must be a string, got 2"
             ),
         }
         bad = tmp_path / "vertex.json"

@@ -29,7 +29,7 @@ from qftalg.renorm import (
 )
 from qftalg.scalar import D, PropPoly
 
-from oracles import mono, phi
+from oracles import mono, phi, set_partitions
 
 
 def d(a, b, power=1, coeff=1):
@@ -248,6 +248,110 @@ class TestRenormalizedT:
         assert renormalized_T(u, scaled) == 9 * renormalized_T(u, base)
 
 
+# the family of acceptance criterion 6: 1-4 distinct generators
+ACCEPTANCE_GENERATORS = [Generator(p, n) for p in ("x1", "x2", "x3", "x4") for n in (1, 2, 3)]
+
+
+def acceptance_family(max_size):
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(ACCEPTANCE_GENERATORS, size):
+            yield Element.from_monomial(Monomial.from_occurrences(combo))
+
+
+# monomials with repeated generators: equal blocks, so a set partition's
+# labelled count differs from one
+REPEATED = [
+    mono(*[("x", 1)] * 4),
+    mono(("x", 2), ("x", 2), ("y", 1), ("y", 1)),
+    mono(("x", 1), ("x", 1), ("x", 2), ("y", 1), ("y", 1)),
+    mono(*[("x", 2)] * 3, ("y", 2)),
+]
+
+
+def seeded_combinations(rng, members, count):
+    """``count`` combinations ``a u + b v`` of two members with rational
+    coefficients."""
+    for _ in range(count):
+        u, v = rng.sample(members, 2)
+        yield Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) * u + Fraction(-2, 3) * v
+
+
+def definitional_T_c(u):
+    """``sum_n (-1)^(n+1)/n sum c T(u_1)...T(u_n)`` over the ordered tuples
+    of the (n-1)-st reduced-partition iterate, one product per tuple."""
+    total = Element.zero()
+    n = 1
+    while True:
+        iterate = reduced_prime_iter(u, n - 1)
+        if not iterate:
+            return total
+        for slots, c in iterate.terms.items():
+            product = Element.one()
+            for s in slots:
+                product = product * chronological(s)
+            total = total + (c * Fraction((-1) ** (n + 1), n)) * product
+        n += 1
+
+
+class TestConnectedTDefinition:
+    """``connected_T`` sums over unordered set partitions with the Moebius
+    weights ``(-1)^(k-1)(k-1)!``, and ``t_c`` sums the same series over
+    scalars; both must equal the literal ordered series."""
+
+    def check(self, u):
+        expected = definitional_T_c(u)
+        assert connected_T(u) == expected, str(u)
+        assert t_c_functional(u) == expected.counit(), str(u)
+
+    def test_acceptance_family(self):
+        for u in acceptance_family(4):
+            self.check(u)
+
+    def test_repeated_generators(self):
+        for m in REPEATED:
+            self.check(Element.from_monomial(m))
+
+    def test_seeded_linear_combinations(self):
+        members = list(acceptance_family(3)) + [Element.from_monomial(m) for m in REPEATED]
+        for u in seeded_combinations(random.Random(61), members, 40):
+            self.check(u)
+
+
+class TestExponentialFormula:
+    """``T`` is the exponential of ``T_c`` over the partition lattice:
+    ``T(m) = sum_pi prod_B T_c(m_B)``, checked with a labelled set-partition
+    enumerator that knows nothing of how renorm groups equal blocks."""
+
+    def test_t_is_exponential_of_t_c(self):
+        for m in REPEATED + [mono(("x", 1), ("y", 2), ("z", 1))]:
+            occurrences = m.occurrences()
+            total = Element.zero()
+            for partition in set_partitions(list(occurrences)):
+                product = Element.one()
+                for block in partition:
+                    product = product * connected_T(
+                        Element.from_monomial(Monomial.from_occurrences(block))
+                    )
+                total = total + product
+            assert total == chronological(m), str(m)
+
+    def test_partition_counts_are_stirling_numbers(self):
+        parts = renorm._partitions(mono(*[("x", 1)] * 4))
+        by_count = {}
+        for blocks, n in parts.items():
+            by_count[len(blocks)] = by_count.get(len(blocks), 0) + n
+        assert by_count == {1: 1, 2: 7, 3: 6, 4: 1}
+        assert sum(parts.values()) == 15
+
+    def test_partitions_group_labelled_partitions(self):
+        for m in REPEATED + [mono(("x", 1), ("y", 1), ("z", 2))]:
+            expected = {}
+            for partition in set_partitions(list(m.occurrences())):
+                blocks = tuple(sorted(Monomial.from_occurrences(b) for b in partition))
+                expected[blocks] = expected.get(blocks, 0) + 1
+            assert renorm._partitions(m) == expected, str(m)
+
+
 def definitional_T_R(u, vertex):
     """``sum_n 1/n! sum c T(O(u_1)...O(u_n))`` over the ordered tuples of
     the (n-1)-st reduced-partition iterate, one ``T`` per tuple."""
@@ -269,32 +373,38 @@ class TestRenormalizedTDefinition:
     """``renormalized_T`` sums the series into one element and applies
     ``T`` once; that must equal the definitional sum over ordered tuples."""
 
-    # the family of acceptance criterion 6: 1-4 distinct generators
-    generators = [Generator(p, n) for p in ("x1", "x2", "x3", "x4") for n in (1, 2, 3)]
-
-    def family(self, max_size):
-        for size in range(1, max_size + 1):
-            for combo in itertools.combinations(self.generators, size):
-                yield Element.from_monomial(Monomial.from_occurrences(combo))
-
     def test_identity_vertex_on_acceptance_family(self):
         vertex = identity_vertex()
-        for u in self.family(4):
+        for u in acceptance_family(4):
             assert renormalized_T(u, vertex) == definitional_T_R(u, vertex)
+
+    def test_repeated_generators(self):
+        rules = {
+            mono(("x", 1)): Fraction(1, 2) * phi("x"),
+            mono(("x", 2)): phi("x", 2) - 3 * phi("y"),
+            mono(("y", 1)): -1 * phi("y", 2),
+            mono(("y", 2)): 2 * phi("y", 2),
+            mono(("x", 1), ("x", 1)): 3 * phi("x", 2),
+            mono(("x", 2), ("y", 1)): Fraction(-1, 3) * phi("x"),
+        }
+        for vertex in (identity_vertex(), Vertex(rules)):
+            for m in REPEATED:
+                u = Element.from_monomial(m)
+                assert renormalized_T(u, vertex) == definitional_T_R(u, vertex), str(m)
 
     def test_seeded_rule_table(self):
         rng = random.Random(6)
         rules = {}
-        for g in self.generators:
+        for g in ACCEPTANCE_GENERATORS:
             image = Element.zero()
-            for target in rng.sample(self.generators, 2):
+            for target in rng.sample(ACCEPTANCE_GENERATORS, 2):
                 coeff = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
                 image = image + PropPoly.constant(coeff) * Element.from_generator(target)
             rules[Monomial.of(g)] = image
-        for pair in rng.sample(list(itertools.combinations(self.generators, 2)), 10):
+        for pair in rng.sample(list(itertools.combinations(ACCEPTANCE_GENERATORS, 2)), 10):
             rules[Monomial.from_occurrences(pair)] = Fraction(1, 2) * Element.from_generator(pair[0])
         vertex = Vertex(rules)
-        members = list(self.family(3))
+        members = list(acceptance_family(3))
         members += [u + Fraction(-2, 3) * v for u, v in zip(members[::7], members[3::7])]
         for u in rng.sample(members, 60):
             assert renormalized_T(u, vertex) == definitional_T_R(u, vertex)
