@@ -12,8 +12,11 @@ The twisted product ``u o v = sum R(u', v') u'' v''`` deforms the normal
 product by propagator contractions; with the symmetric symbols it is
 commutative and fold-generates the chronological product.  It extends
 bilinearly from basis monomials, pairing only equal-power parts of their
-coproducts; every sum goes through ``scalar._accumulate``, so this module
-never reads how a :class:`~qftalg.scalar.PropPoly` stores its terms.
+coproducts.  The twisted product and the bicharacter sum their
+coefficients through the ring's multiply-accumulate
+(``scalar._poly_dot``), grouped by output monomial, so no polynomial is
+built per split pair and this module never reads how a
+:class:`~qftalg.scalar.PropPoly` stores its terms.
 
 Memo tables cache bicharacter values and chronological products of basis
 monomials; entries are idempotent, so concurrent reads/writes are benign
@@ -28,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, ModeError
 from .hopf import Element, Generator, Monomial, _linear_sum, monomial_coproduct
-from .scalar import D, Dplus, PropPoly, _accumulate, _poly_sum
+from .scalar import D, Dplus, PropPoly, _accumulate, _poly_dot, _poly_dots
 
 
 class RMode(enum.Enum):
@@ -65,7 +68,8 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
         return PropPoly.zero()
     if u.is_unit:
         return PropPoly.one()
-    key = (u, v, mode)
+    # an enum hashes through Python code on every lookup; a bool does not
+    key = (u, v, mode is RMode.CHRONOLOGICAL)
     cached = _R_CACHE.get(key)
     if cached is not None:
         return cached
@@ -73,8 +77,8 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
         # R(g * rest, v) = sum R(g, v') R(rest, v'')
         g, rest = u.split_first()
         g = Monomial.of(g)
-        result = _poly_sum(
-            c * (first * r_bicharacter(rest, v2, mode))
+        result = _poly_dot(
+            (c * first, r_bicharacter(rest, v2, mode))
             for (v1, v2), c in monomial_coproduct(v)
             if (first := r_bicharacter(g, v1, mode))
         )
@@ -82,8 +86,8 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
         # R(u, h * rest) = sum R(u', h) R(u'', rest)
         h, rest = v.split_first()
         h = Monomial.of(h)
-        result = _poly_sum(
-            c * (first * r_bicharacter(u2, rest, mode))
+        result = _poly_dot(
+            (c * first, r_bicharacter(u2, rest, mode))
             for (u1, u2), c in monomial_coproduct(u)
             if (first := r_bicharacter(u1, h, mode))
         )
@@ -115,8 +119,8 @@ def _twisted_monomials(mu: Monomial, mv: Monomial, mode: RMode) -> Element:
     """``mu o mv = sum R(mu', mv') mu'' mv''`` on two basis monomials,
     pairing only the equal-power buckets of their coproducts."""
     dv = _coproduct_by_power(mv)
-    return Element._raw(_accumulate(
-        (a2 * b2, r * (ca * cb))
+    return Element._raw(_poly_dots(
+        (a2 * b2, ca * cb, r)
         for power, left_terms in _coproduct_by_power(mu).items()
         for a1, a2, ca in left_terms
         for b1, b2, cb in dv.get(power, ())
@@ -189,7 +193,7 @@ def t_functional(u: Element | Monomial, mode: RMode = RMode.CHRONOLOGICAL) -> Pr
         raise ModeError("t is defined through the chronological product only")
     if isinstance(u, Monomial):
         return t_monomial(u)
-    return _poly_sum(coeff * t_monomial(mono) for mono, coeff in u.terms.items())
+    return _poly_dot((coeff, t_monomial(mono)) for mono, coeff in u.terms.items())
 
 
 def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Element:

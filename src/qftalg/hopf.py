@@ -29,13 +29,16 @@ cache idempotent results, so concurrent use is safe.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import NotInKernel, PowerError
-from .scalar import PropPoly, _accumulate, _signed_join
+from .scalar import PropPoly, _accumulate, _poly_dots, _signed_join
 
 PointId = str
 
@@ -56,7 +59,10 @@ class Monomial:
     """A commutative word in generators: a finite multiset of Generator.
 
     Stored as a tuple of ``(generator, multiplicity)`` pairs sorted by
-    ``(point, power)``; the empty word is the unit of the algebra.
+    ``(point, power)``; the empty word is the unit of the algebra.  The
+    public constructor validates and sorts its input; :meth:`append`,
+    :meth:`split_first`, :meth:`split_last` and ``*`` work on the sorted
+    tuples directly and never re-sort.
     """
 
     __slots__ = ("factors", "total_power", "size", "_hash")
@@ -72,6 +78,17 @@ class Monomial:
         self.total_power = sum(g.power * m for g, m in self.factors)
         self.size = sum(m for _, m in self.factors)
         self._hash = hash(self.factors)
+
+    @classmethod
+    def _raw(cls, factors: tuple, total_power: int, size: int) -> "Monomial":
+        # trusted constructor: factors sorted, merged and multiplicity >= 1;
+        # total_power and size are the sums the public constructor computes
+        out = object.__new__(cls)
+        out.factors = factors
+        out.total_power = total_power
+        out.size = size
+        out._hash = hash(factors)
+        return out
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -97,7 +114,14 @@ class Monomial:
         return tuple(out)
 
     def append(self, gen: Generator) -> "Monomial":
-        return Monomial(self.factors + ((gen, 1),))
+        """The word times one more occurrence of ``gen``, inserted in order."""
+        factors = self.factors
+        i = bisect_left(factors, gen, key=_generator_of)
+        if i < len(factors) and factors[i][0] == gen:
+            factors = factors[:i] + ((gen, factors[i][1] + 1),) + factors[i + 1:]
+        else:
+            factors = factors[:i] + ((gen, 1),) + factors[i:]
+        return Monomial._raw(factors, self.total_power + gen.power, self.size + 1)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.is_unit:
@@ -107,20 +131,27 @@ class Monomial:
         key = (self, other)
         cached = _MUL_CACHE.get(key)
         if cached is None:
-            cached = Monomial(self.factors + other.factors)
+            cached = Monomial._raw(
+                _merge_factors(self.factors, other.factors),
+                self.total_power + other.total_power,
+                self.size + other.size,
+            )
             _MUL_CACHE[key] = cached
         return cached
 
     def split_first(self) -> tuple[Generator, "Monomial"]:
         """Peel one occurrence of the first generator off the word."""
-        gen, mult = self.factors[0]
-        rest = ((gen, mult - 1),) + self.factors[1:]
-        return gen, Monomial(rest)
+        (gen, mult), rest = self.factors[0], self.factors[1:]
+        if mult > 1:
+            rest = ((gen, mult - 1),) + rest
+        return gen, Monomial._raw(rest, self.total_power - gen.power, self.size - 1)
 
     def split_last(self) -> tuple["Monomial", Generator]:
-        gen, mult = self.factors[-1]
-        rest = self.factors[:-1] + ((gen, mult - 1),)
-        return Monomial(rest), gen
+        """Peel one occurrence of the last generator off the word."""
+        rest, (gen, mult) = self.factors[:-1], self.factors[-1]
+        if mult > 1:
+            rest = rest + ((gen, mult - 1),)
+        return Monomial._raw(rest, self.total_power - gen.power, self.size - 1), gen
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.factors == other.factors
@@ -142,6 +173,31 @@ class Monomial:
             {"point": gen.point, "power": gen.power, "mult": mult}
             for gen, mult in self.factors
         ]
+
+
+_generator_of = itemgetter(0)
+
+
+def _merge_factors(a: tuple, b: tuple) -> tuple:
+    """Merge two sorted ``(generator, multiplicity)`` tuples, adding the
+    multiplicities of a generator present in both."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        g, h = a[i][0], b[j][0]
+        if g == h:
+            out.append((g, a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+        elif g < h:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 _UNIT = Monomial()
@@ -241,8 +297,8 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            return Element._raw(_accumulate(
-                (m1 * m2, c1 * c2)
+            return Element._raw(_poly_dots(
+                (m1 * m2, c1, c2)
                 for m1, c1 in self.terms.items()
                 for m2, c2 in other.terms.items()
             ))
@@ -288,10 +344,10 @@ class Element:
 
 
 def _linear_sum(parts: Iterable[tuple]) -> Element:
-    """``sum c * e`` over ``(c, e)`` pairs of a scalar and an element,
-    accumulated in one dict."""
-    return Element._raw(_accumulate(
-        (mono, coeff * c) for c, e in parts for mono, coeff in e.terms.items()
+    """``sum c * e`` over ``(c, e)`` pairs of a scalar and an element: the
+    coefficients of each monomial summed by one multiply-accumulate."""
+    return Element._raw(_poly_dots(
+        (mono, c, coeff) for c, e in parts for mono, coeff in e.terms.items()
     ))
 
 
@@ -405,8 +461,8 @@ class Tensor:
         """Slotwise normal product of two equal-arity tensors."""
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
-        return Tensor._raw(self.arity, _accumulate(
-            (tuple(a * b for a, b in zip(s1, s2)), c1 * c2)
+        return Tensor._raw(self.arity, _poly_dots(
+            (tuple(a * b for a, b in zip(s1, s2)), c1, c2)
             for s1, c1 in self.terms.items()
             for s2, c2 in other.terms.items()
         ))
@@ -460,24 +516,52 @@ def counit(u: Element) -> PropPoly:
     return u.counit()
 
 
-def _split(mono: Monomial, split_generator: Callable[[Generator], tuple]) -> tuple:
-    """Coproduct of a basis monomial, split one generator occurrence at a
-    time: ``split_generator(g)`` gives ``(left, right, coefficient)``
-    triples, a side being a generator or ``None`` for the unit."""
-    acc: dict = {(_UNIT, _UNIT): 1}
-    for gen in mono.occurrences():
-        acc = _accumulate(
-            ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
-            for (left, right), c in acc.items()
-            for g1, g2, k in split_generator(gen)
-        )
-    return tuple(acc.items())
+_UNIT_SPLITS = (((_UNIT, _UNIT), 1),)
 
 
+def _grown(mono: Monomial, table: dict, split_generator: Callable[[Generator], tuple]) -> tuple:
+    """Coproduct of a basis monomial, memoised in ``table``.
+
+    ``split_generator(g)`` gives the ``(left, right, coefficient)`` triples
+    of one occurrence of ``g``, a side being a generator or ``None`` for
+    the unit.  The coproduct of ``g * rest`` is that of ``rest`` times
+    the split of ``g``.  The loop walks down the first generators of
+    ``mono`` to the first rest already in ``table`` and grows back up,
+    caching each rest it passes.  It peels a generator with its whole
+    multiplicity: the coproduct of ``phi(x)^n`` then caches one tuple, not
+    the ``n`` tuples of its powers, which would hold ``n^2/2`` splits.
+    The walk is a loop, not a recursion, so its depth is not the
+    interpreter's recursion limit.
+    """
+    walked = []
+    splits = table.get(mono)
+    while splits is None:
+        if mono.is_unit:
+            splits = _UNIT_SPLITS
+            break
+        walked.append(mono)
+        (gen, mult), rest = mono.factors[0], mono.factors[1:]
+        mono = Monomial._raw(rest, mono.total_power - gen.power * mult, mono.size - mult)
+        splits = table.get(mono)
+    for mono in reversed(walked):
+        gen, mult = mono.factors[0]
+        gen_splits = split_generator(gen)
+        for _ in range(mult):
+            splits = tuple(_accumulate(
+                ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
+                for (left, right), c in splits
+                for g1, g2, k in gen_splits
+            ).items())
+        table[mono] = splits
+    return splits
+
+
+@cache
 def _binomial_split(gen: Generator) -> tuple:
-    """``phi^n(x) -> sum_k C(n,k) phi^k(x) (x) phi^(n-k)(x)``."""
+    """``phi^n(x) -> sum_k C(n,k) phi^k(x) (x) phi^(n-k)(x)``, one
+    :class:`Generator` per power, made once per generator."""
     point, n = gen
-    powers = [None] + [Generator(point, k) for k in range(1, n + 1)]
+    powers = [None] + [Generator(point, k) for k in range(1, n)] + [gen]
     return tuple((powers[k], powers[n - k], comb(n, k)) for k in range(n + 1))
 
 
@@ -496,19 +580,13 @@ def monomial_coproduct(mono: Monomial) -> tuple:
     Returns a tuple of ``((left, right), integer_coefficient)`` pairs; the
     coefficients are products of binomials, one per generator occurrence.
     """
-    cached = _DELTA_CACHE.get(mono)
-    if cached is None:
-        cached = _DELTA_CACHE[mono] = _split(mono, _binomial_split)
-    return cached
+    return _grown(mono, _DELTA_CACHE, _binomial_split)
 
 
 def monomial_coproduct_prime(mono: Monomial) -> tuple:
     """Partition coproduct of a basis monomial: occurrences go left or right
     wholesale; repeated occurrences produce binomial multiplicities."""
-    cached = _DELTA_PRIME_CACHE.get(mono)
-    if cached is None:
-        cached = _DELTA_PRIME_CACHE[mono] = _split(mono, _primitive_split)
-    return cached
+    return _grown(mono, _DELTA_PRIME_CACHE, _primitive_split)
 
 
 def monomial_coaction(mono: Monomial) -> tuple:
@@ -536,8 +614,8 @@ def word_coproduct_prime(word: VertexWord) -> tuple:
 
 
 def _tensor_from_monomial_expansion(u: Element, expansion) -> Tensor:
-    return Tensor._raw(2, _accumulate(
-        (pair, coeff * c) for mono, coeff in u.terms.items() for pair, c in expansion(mono)
+    return Tensor._raw(2, _poly_dots(
+        (pair, c, coeff) for mono, coeff in u.terms.items() for pair, c in expansion(mono)
     ))
 
 

@@ -9,7 +9,13 @@ point is used in any computation.
 ``Rational`` is :class:`fractions.Fraction`: always in lowest terms with a
 positive denominator, with arbitrary-precision integer parts, which is
 exactly the invariant this ring needs (factorials and binomials never
-overflow).
+overflow).  A :class:`PropPoly` stores an integral coefficient as an
+``int`` and any other as a ``Fraction``: both are ``numbers.Rational`` and
+an integral ``Fraction`` equals and hashes like its ``int``, so the choice
+never shows in equality or rendering, but the bicharacter values and
+binomials of the twisted product, all integers, stay on integer
+arithmetic.  Every polynomial product and sum goes through one
+multiply-accumulate kernel, :func:`_poly_dot`.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function returning a new value.
@@ -57,6 +63,15 @@ def Dplus(a: str, b: str) -> PropSymbol:
     return PropSymbol(ORIENTED, a, b)
 
 
+def _rational(value) -> int | Fraction:
+    """``value`` as an exact rational: an ``int`` if integral, else a
+    ``Fraction`` (anything ``Fraction()`` accepts)."""
+    if type(value) is int:
+        return value
+    q = value if type(value) is Fraction else Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 def frac_str(q: Fraction) -> str:
     """Render a rational as ``"p/q"`` with the denominator always present."""
     return f"{q.numerator}/{q.denominator}"
@@ -74,10 +89,11 @@ def parse_frac(text: str) -> Fraction:
 def _accumulate(pairs: Iterable[tuple], acc: dict | None = None) -> dict:
     """Sum ``(key, coeff)`` pairs into ``acc`` (a new dict by default).
 
-    This is the one summation behind every sparse combination of the
-    package: a key whose coefficients cancel is dropped, so the result
-    holds no zero coefficient.  Works for any coefficient type with ``+``
-    and truth testing (rationals, :class:`PropPoly`).
+    This is the one summation behind the sparse combinations of monomials
+    and tensors (the terms of a polynomial are summed by
+    :func:`_poly_dot`): a key whose coefficients cancel is dropped, so the
+    result holds no zero coefficient.  Works for any coefficient type with
+    ``+`` and truth testing (integers, :class:`PropPoly`).
     """
     if acc is None:
         acc = {}
@@ -122,25 +138,24 @@ def _merge_symmaps(s1: SymMap, s2: SymMap) -> SymMap:
 
 
 class PropPoly:
-    """Sparse multivariate polynomial over :class:`PropSymbol` with
-    :class:`~fractions.Fraction` coefficients.
+    """Sparse multivariate polynomial over :class:`PropSymbol` with exact
+    rational coefficients, each an ``int`` when integral and a
+    :class:`~fractions.Fraction` otherwise.
 
     ``terms`` maps a sorted tuple of ``(symbol, exponent)`` pairs to a
     nonzero coefficient; the empty tuple is the constant monomial and the
     empty map is the zero polynomial.  Storage is canonical, so equal
-    polynomials compare equal structurally.
+    polynomials compare equal structurally.  The constructor accepts any
+    ``(symbol, exponent)`` iterables as keys: repeated symbols merge, zero
+    exponents drop, and keys that become equal are summed.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[SymMap, Fraction] | None = None):
-        clean: dict[SymMap, Fraction] = {}
-        if terms:
-            for symmap, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[tuple(sorted(symmap))] = coeff
-        self.terms = clean
+        self.terms = _poly_sum(
+            PropPoly.from_symbol_powers(symmap, coeff) for symmap, coeff in (terms or {}).items()
+        ).terms
 
     # -- constructors -------------------------------------------------
 
@@ -154,37 +169,34 @@ class PropPoly:
 
     @classmethod
     def constant(cls, value) -> "PropPoly":
-        value = Fraction(value)
+        value = _rational(value)
         if not value:
             return _ZERO
         return cls._raw({(): value})
 
     @classmethod
     def symbol(cls, sym: PropSymbol, exponent: int = 1, coeff=1) -> "PropPoly":
-        if exponent < 0:
-            raise ValueError("symbol exponents must be nonnegative")
-        coeff = Fraction(coeff)
-        if not coeff:
-            return _ZERO
-        if exponent == 0:
-            return cls._raw({(): coeff})
-        return cls._raw({((sym, exponent),): coeff})
+        return cls.from_symbol_powers(((sym, exponent),), coeff)
 
     @classmethod
     def from_symbol_powers(cls, powers: Iterable[tuple[PropSymbol, int]], coeff=1) -> "PropPoly":
-        """Product of symbol powers times a rational; repeated symbols merge."""
+        """Product of symbol powers times a rational; repeated symbols merge
+        and zero exponents drop."""
         acc: dict[PropSymbol, int] = {}
         for sym, exp in powers:
+            if exp < 0:
+                raise ValueError("symbol exponents must be nonnegative")
             if exp:
                 acc[sym] = acc.get(sym, 0) + exp
-        coeff = Fraction(coeff)
+        coeff = _rational(coeff)
         if not coeff:
             return _ZERO
         return cls._raw({tuple(sorted(acc.items())): coeff})
 
     @classmethod
     def _raw(cls, terms: dict) -> "PropPoly":
-        # trusted constructor: terms already canonical and zero-free
+        # trusted constructor: terms already canonical and zero-free, every
+        # integral coefficient an int
         out = object.__new__(cls)
         out.terms = terms
         return out
@@ -200,7 +212,7 @@ class PropPoly:
             return other
         if not other.terms:
             return self
-        return PropPoly._raw(_accumulate(other.terms.items(), dict(self.terms)))
+        return _poly_sum((self, other))
 
     __radd__ = __add__
 
@@ -218,28 +230,11 @@ class PropPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other) if other else _ZERO
-        if not isinstance(other, PropPoly):
+        if not isinstance(other, (int, Fraction, PropPoly)):
             return NotImplemented
-        # constant polynomials scale without any symbol-map merging
-        if len(other.terms) == 1 and () in other.terms:
-            return self._scaled(other.terms[()])
-        if len(self.terms) == 1 and () in self.terms:
-            return other._scaled(self.terms[()])
-        return PropPoly._raw(_accumulate(
-            (_merge_symmaps(s1, s2), c1 * c2)
-            for s1, c1 in self.terms.items()
-            for s2, c2 in other.terms.items()
-        ))
+        return _poly_dot(((other, self),))
 
     __rmul__ = __mul__
-
-    def _scaled(self, q) -> "PropPoly":
-        # q is a nonzero rational; scaling by 1 shares the (immutable) value
-        if q == 1:
-            return self
-        return PropPoly._raw({s: c * q for s, c in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -262,10 +257,10 @@ class PropPoly:
     # -- queries --------------------------------------------------------
 
     def is_one(self) -> bool:
-        return self.terms == {(): Fraction(1)}
+        return self.terms == {(): 1}
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def symbols(self) -> set[PropSymbol]:
         return {sym for symmap in self.terms for sym, _ in symmap}
@@ -321,12 +316,58 @@ class PropPoly:
 
 
 _ZERO = PropPoly._raw({})
-_ONE = PropPoly._raw({(): Fraction(1)})
+_ONE = PropPoly._raw({(): 1})
+
+
+def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
+    """``sum a*b`` over ``(a, b)`` pairs, ``a`` a rational or a
+    :class:`PropPoly` and ``b`` a :class:`PropPoly`.
+
+    This is the one multiply-accumulate of the ring, behind every product
+    and sum of polynomials: the products add into one coefficient dict,
+    and only at the end are cancelled terms dropped and integral
+    coefficients stored as ``int``.  No polynomial is built per pair.
+    """
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        if isinstance(a, PropPoly):
+            for s1, c1 in a.terms.items():
+                for s2, c2 in b.terms.items():
+                    s = _merge_symmaps(s1, s2)
+                    old = get(s)
+                    acc[s] = c1 * c2 if old is None else old + c1 * c2
+        elif a == 1:
+            for s, c in b.terms.items():
+                old = get(s)
+                acc[s] = c if old is None else old + c
+        else:
+            for s, c in b.terms.items():
+                old = get(s)
+                acc[s] = a * c if old is None else old + a * c
+    return PropPoly._raw({
+        s: c if type(c) is int else (c.numerator if c.denominator == 1 else c)
+        for s, c in acc.items()
+        if c
+    })
+
+
+def _poly_dots(triples: Iterable[tuple]) -> dict:
+    """``{key: sum a*b}`` over ``(key, a, b)`` triples: the pairs of each
+    key summed by one :func:`_poly_dot`, keys whose sum is zero dropped."""
+    groups: dict = {}
+    for key, a, b in triples:
+        pairs = groups.get(key)
+        if pairs is None:
+            groups[key] = [(a, b)]
+        else:
+            pairs.append((a, b))
+    return {key: p for key, pairs in groups.items() if (p := _poly_dot(pairs))}
 
 
 def _poly_sum(polys: Iterable[PropPoly]) -> PropPoly:
     """Sum of polynomials, accumulated in one dict."""
-    return PropPoly._raw(_accumulate(pair for p in polys for pair in p.terms.items()))
+    return _poly_dot((1, p) for p in polys)
 
 
 def poly_add(a: PropPoly, b: PropPoly) -> PropPoly:

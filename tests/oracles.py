@@ -7,6 +7,9 @@ shared code path into the implementations under test:
   full multi-binomial sum over per-occurrence split vectors.
 * :func:`delta_prime_subsets` expands the partition coproduct over subsets
   of occurrence positions.
+* :func:`split_by_occurrence` expands either coproduct one generator
+  occurrence at a time, keeping each side as a sorted occurrence tuple and
+  building the monomials once, with the validating constructor.
 * :func:`bicharacter_contingency` evaluates the pairing as a sum over
   nonnegative integer matrices with fixed margins (bipartite contraction
   schemes); this is convention-free.
@@ -62,6 +65,35 @@ def delta_prime_subsets(mono: Monomial) -> Tensor:
             key = (left, right)
             acc[key] = acc.get(key, 0) + 1
     return Tensor(2, {k: PropPoly.constant(v) for k, v in acc.items()})
+
+
+def split_by_occurrence(mono: Monomial, primitive: bool = False) -> dict:
+    """``{(left, right): coefficient}`` of the contraction coproduct (the
+    binomial split of each occurrence) or, if ``primitive``, of the
+    partition coproduct (each occurrence goes left or right whole)."""
+    acc = {((), ()): 1}
+    for g in mono.occurrences():
+        if primitive:
+            splits = [((g,), (), 1), ((), (g,), 1)]
+        else:
+            splits = [
+                (
+                    (Generator(g.point, k),) if k else (),
+                    (Generator(g.point, g.power - k),) if k < g.power else (),
+                    comb(g.power, k),
+                )
+                for k in range(g.power + 1)
+            ]
+        grown = {}
+        for (left, right), c in acc.items():
+            for g1, g2, k in splits:
+                key = (tuple(sorted(left + g1)), tuple(sorted(right + g2)))
+                grown[key] = grown.get(key, 0) + c * k
+        acc = grown
+    return {
+        (Monomial.from_occurrences(left), Monomial.from_occurrences(right)): c
+        for (left, right), c in acc.items()
+    }
 
 
 def _margin_matrices(rows, cols, partial=False):

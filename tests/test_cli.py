@@ -2,11 +2,12 @@ import contextlib
 import functools
 import io
 import json
+import math
 
 
-from qftalg import laws
+from qftalg import hopf, laws
 from qftalg.cli import main
-from qftalg.hopf import coproduct
+from qftalg.hopf import Generator, Monomial, coproduct
 
 
 def run_cli(*argv):
@@ -515,6 +516,19 @@ class TestExitCodes:
         ]
         for argv in cases:
             assert run_cli(*argv) == (2, "", too_deep), argv[1][:20]
+
+    def test_delta_of_a_1200_fold_power(self, monkeypatch):
+        # the coproduct walks down 1200 occurrences; grown by a recursion
+        # that walk exceeded the interpreter's limit and exited 2
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", {})
+        code, out, err = run_cli("delta", "--expr", "*".join(["phi(x)"] * 1200))
+        assert (code, err) == (0, "")
+        assert out.count(" ⊗ ") == 1201
+        g = Generator("x", 1)
+        assert dict(hopf.monomial_coproduct(Monomial(((g, 1200),)))) == {
+            (Monomial(((g, k),)), Monomial(((g, 1200 - k),))): math.comb(1200, k)
+            for k in range(1201)
+        }
 
     def test_bad_seed_environment(self, monkeypatch):
         monkeypatch.setenv("QFTALG_SEED", "abc")

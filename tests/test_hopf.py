@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qftalg import hopf
 from qftalg.errors import NotInKernel, PowerError
 from qftalg.hopf import (
     Element,
@@ -15,15 +17,17 @@ from qftalg.hopf import (
     coproduct_prime,
     counit,
     monomial_coproduct,
+    monomial_coproduct_prime,
     normal_product,
     normalize,
     reduced_prime,
     reduced_prime_iter,
     word_coproduct_prime,
 )
+from qftalg.laws import exhaustive_monomials
 from qftalg.scalar import D, PropPoly
 
-from oracles import delta_closed_form, delta_prime_subsets, mono, phi
+from oracles import delta_closed_form, delta_prime_subsets, mono, phi, split_by_occurrence
 
 
 def t2(*entries) -> Tensor:
@@ -390,3 +394,93 @@ class TestCancellation:
         assert (out.arity, out.terms) == (2, {})
         widened = t.apply_to_slot(1, lambda m: [((m, UNIT), PropPoly.one())])
         assert widened == Tensor(3, {(self.a, self.b, UNIT): PropPoly.one()})
+
+
+generators = st.builds(Generator, st.sampled_from("xyz"), st.integers(1, 3))
+monomials = st.lists(generators, max_size=6).map(Monomial.from_occurrences)
+non_units = monomials.filter(lambda m: not m.is_unit)
+
+
+def assert_same(fast: Monomial, sorted_: Monomial):
+    """A monomial made on the sorted tuples equals, in every stored field,
+    the one the validating constructor sorts."""
+    assert (fast.factors, fast.total_power, fast.size) == (
+        sorted_.factors, sorted_.total_power, sorted_.size
+    )
+    assert hash(fast) == hash(sorted_)
+    assert fast == sorted_
+
+
+class TestSortFreeMonomials:
+    """``append``, ``split_first``, ``split_last`` and ``*`` never re-sort;
+    each is checked against the constructor that does."""
+
+    @given(monomials, generators)
+    def test_append(self, m, g):
+        assert_same(m.append(g), Monomial(m.factors + ((g, 1),)))
+
+    @given(non_units)
+    def test_split_first(self, m):
+        (first, mult), rest = m.factors[0], m.factors[1:]
+        g, peeled = m.split_first()
+        assert g == first
+        assert_same(peeled, Monomial(((first, mult - 1),) + rest))
+
+    @given(non_units)
+    def test_split_last(self, m):
+        rest, (last, mult) = m.factors[:-1], m.factors[-1]
+        peeled, g = m.split_last()
+        assert g == last
+        assert_same(peeled, Monomial(rest + ((last, mult - 1),)))
+
+    @given(monomials, monomials)
+    def test_product(self, a, b):
+        assert_same(a * b, Monomial(a.factors + b.factors))
+
+
+REPEATED_GENERATORS = [
+    mono(*[("x", 1)] * 5),
+    mono(("x", 2), ("x", 2), ("x", 2), ("y", 1), ("y", 1)),
+    mono(("x", 3), ("x", 1), ("x", 3), ("y", 2), ("y", 2), ("z", 1)),
+    mono(("z", 4), ("z", 4), ("a", 1)),
+]
+
+
+class TestCoproductGrowth:
+    """Both monomial coproducts, grown from the cached coproduct of the
+    rest, against the occurrence-by-occurrence oracle: from empty memo
+    tables (largest monomials first, so every rest is met on the way
+    down) and then with every rest cached."""
+
+    members = [m for u in exhaustive_monomials() for m in u.terms] + REPEATED_GENERATORS
+
+    def check(self, order):
+        for m in order:
+            for coproduct_fn, primitive in (
+                (monomial_coproduct, False),
+                (monomial_coproduct_prime, True),
+            ):
+                splits = coproduct_fn(m)
+                assert len(dict(splits)) == len(splits)
+                assert dict(splits) == split_by_occurrence(m, primitive)
+
+    def test_cold_then_warm(self, monkeypatch):
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", {})
+        monkeypatch.setattr(hopf, "_DELTA_PRIME_CACHE", {})
+        by_size = sorted(self.members, key=lambda m: -m.size)
+        self.check(by_size)
+        self.check(reversed(by_size))
+
+    def test_rests_are_cached(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", table)
+        m = REPEATED_GENERATORS[2]
+        monomial_coproduct(m)
+        # the rests left after peeling each generator with its multiplicity
+        assert set(table) == {
+            m,
+            mono(("x", 3), ("x", 3), ("y", 2), ("y", 2), ("z", 1)),
+            mono(("y", 2), ("y", 2), ("z", 1)),
+            mono(("z", 1)),
+        }
+

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from qftalg.scalar import (
     D,
     Dplus,
     PropPoly,
+    _poly_dot,
+    _poly_sum,
     frac_str,
     parse_frac,
     poly_add,
@@ -79,6 +82,31 @@ def test_canonicalization_idempotent():
     assert again.terms == p.terms
 
 
+class TestConstructor:
+    """``PropPoly(terms)`` stores canonical terms whatever keys it is given."""
+
+    s = D(X, Y)
+    t = D("a", "b")
+
+    def test_keys_that_sort_equal_are_summed(self):
+        p = PropPoly({((self.s, 1), (self.t, 1)): 1, ((self.t, 1), (self.s, 1)): 2})
+        assert p == PropPoly.from_symbol_powers([(self.s, 1), (self.t, 1)], 3)
+        assert str(p) == "3*D(a,b)*D(x,y)"
+        assert PropPoly({((self.s, 1), (self.t, 1)): 1, ((self.t, 1), (self.s, 1)): -1}) == 0
+
+    def test_repeated_symbol_merges(self):
+        assert PropPoly({((self.s, 1), (self.s, 1)): 1}) == PropPoly.symbol(self.s, 2)
+
+    def test_zero_exponent_drops(self):
+        p = PropPoly({((self.s, 0),): 5})
+        assert p == 5
+        assert str(p) == "5"
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            PropPoly({((self.s, -1),): 5})
+
+
 def test_frac_str_round_trip():
     assert frac_str(Fraction(2)) == "2/1"
     assert parse_frac("2/1") == 2
@@ -126,3 +154,62 @@ def test_json_schema_and_order():
         {"coeff": "5/3", "symbols": [{"kind": "D", "a": "x", "b": "y", "pow": 2}]},
         {"coeff": "-1/1", "symbols": [{"kind": "Dplus", "a": "x", "b": "y", "pow": 1}]},
     ]
+
+
+def test_integral_coefficients_are_ints():
+    p = PropPoly.symbol(D(X, Y), 1, Fraction(4, 2)) + PropPoly.constant("3/2")
+    assert p.terms == {((D(X, Y), 1),): 2, (): Fraction(3, 2)}
+    assert type(p.terms[((D(X, Y), 1),)]) is int
+    assert type((p * 2).terms[()]) is int
+    assert type(p.constant_term()) is Fraction
+    assert str(p) == "3/2 + 2*D(x,y)"
+
+
+def seeded_poly(rng: random.Random) -> PropPoly:
+    """A polynomial of up to four terms with int and Fraction coefficients,
+    some of them integral Fractions."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        key = tuple((rng.choice(_symbols), rng.randint(0, 2)) for _ in range(rng.randint(0, 3)))
+        num = rng.randint(-6, 6)
+        terms[key] = num if rng.random() < 0.5 else Fraction(num, rng.choice([1, 2, 3]))
+    return PropPoly(terms)
+
+
+class TestSympyOracle:
+    """Polynomial arithmetic against sympy, on seeded polynomials."""
+
+    def to_sympy(self, sympy, p):
+        total = sympy.Integer(0)
+        for symmap, c in p.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for sym, exp in symmap:
+                term *= sympy.Symbol(f"{sym.kind}_{sym.a}_{sym.b}") ** exp
+            total += term
+        return total
+
+    def assert_canonical(self, p):
+        for symmap, c in p.terms.items():
+            assert c != 0
+            assert type(c) is (int if c.denominator == 1 else Fraction), (symmap, c)
+            assert all(exp >= 1 for _, exp in symmap)
+            assert list(symmap) == sorted(symmap)
+
+    def test_arithmetic(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20241)
+
+        def same(p, expected):
+            self.assert_canonical(p)
+            assert sympy.expand(self.to_sympy(sympy, p) - expected) == 0
+
+        for _ in range(60):
+            a, b, c = (seeded_poly(rng) for _ in range(3))
+            sa, sb, sc = (self.to_sympy(sympy, p) for p in (a, b, c))
+            q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            same(a + b, sa + sb)
+            same(a * b, sa * sb)
+            same(a * q, sa * sympy.Rational(q.numerator, q.denominator))
+            same(_poly_sum([a, b, c]), sa + sb + sc)
+            same(_poly_dot([(a, b), (q, c), (1, a), (3, b)]),
+                 sa * sb + sympy.Rational(q.numerator, q.denominator) * sc + sa + 3 * sb)
