@@ -93,11 +93,11 @@ class _Parser:
         return value
 
     def term(self) -> Element:
-        value = self.factor()
+        factors = [self.factor()]
         while self.at_op("*"):
             self.advance()
-            value = value * self.factor()
-        return value
+            factors.append(self.factor())
+        return _product(factors)
 
     def factor(self) -> Element:
         if self.at_op("-"):
@@ -172,6 +172,26 @@ class _Parser:
             self.expect_op(")")
             return value
         self.fail(["rational", "'phi'", "'D'", "'Dplus'", "'('"])
+
+
+def _product(factors: list[Element]) -> Element:
+    """The product of parsed factors, built once: the one-term factors
+    become one monomial and one coefficient, and only the factors with
+    several terms (or none) are multiplied in after them."""
+    if len(factors) == 1:
+        return factors[0]
+    occurrences, coeff, rest = [], PropPoly.one(), []
+    for f in factors:
+        if len(f.terms) == 1:
+            (mono, c), = f.terms.items()
+            occurrences.extend(mono.factors)
+            coeff = coeff * c
+        else:
+            rest.append(f)
+    value = Element.from_monomial(Monomial(occurrences), coeff)
+    for f in rest:
+        value = value * f
+    return value
 
 
 def parse(text: str) -> Element:

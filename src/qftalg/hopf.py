@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import NotInKernel, PowerError
-from .scalar import PropPoly, _accumulate, _poly_dots, _signed_join
+from .scalar import PropPoly, _accumulate, _merge_counts, _poly_dots, _signed_join
 
 PointId = str
 
@@ -132,7 +132,7 @@ class Monomial:
         cached = _MUL_CACHE.get(key)
         if cached is None:
             cached = Monomial._raw(
-                _merge_factors(self.factors, other.factors),
+                _merge_counts(self.factors, other.factors),
                 self.total_power + other.total_power,
                 self.size + other.size,
             )
@@ -178,28 +178,6 @@ class Monomial:
 _generator_of = itemgetter(0)
 
 
-def _merge_factors(a: tuple, b: tuple) -> tuple:
-    """Merge two sorted ``(generator, multiplicity)`` tuples, adding the
-    multiplicities of a generator present in both."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        g, h = a[i][0], b[j][0]
-        if g == h:
-            out.append((g, a[i][1] + b[j][1]))
-            i += 1
-            j += 1
-        elif g < h:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
-
-
 _UNIT = Monomial()
 _MUL_CACHE: dict[tuple["Monomial", "Monomial"], "Monomial"] = {}
 
@@ -241,7 +219,7 @@ def _term_str(coeff: PropPoly, body: str, times: str) -> str:
         return body
     if coeff == _MINUS_ONE:
         return "-" + body
-    if len(coeff.terms) == 1:
+    if len(coeff) == 1:
         return f"{coeff}{times}{body}"
     return f"({coeff}){times}{body}"
 

@@ -17,6 +17,16 @@ binomials of the twisted product, all integers, stay on integer
 arithmetic.  Every polynomial product and sum goes through one
 multiply-accumulate kernel, :func:`_poly_dot`.
 
+Symbol monomials are interned: each canonical ``(symbol, exponent)`` tuple
+gets a small int id for the life of the process (``0`` is the constant
+monomial), and a :class:`PropPoly` keys its terms by these ids.  The
+product of two ids is one lookup in a table of id pairs; the tuples are
+merged only the first time a pair is multiplied.  Interning never gives
+one tuple two ids, also under threads, and both tables grow only with the
+distinct monomials and pairs a session multiplies.  Ids never leave this
+module: :attr:`PropPoly.terms` maps them back to tuples, and a pickled
+polynomial carries its tuples.
+
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function returning a new value.
 """
@@ -24,6 +34,7 @@ threads; every operation is a pure function returning a new value.
 from __future__ import annotations
 
 from fractions import Fraction
+from threading import Lock
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import MissingSymbol
@@ -125,16 +136,53 @@ def _signed_join(pieces: Iterable[str]) -> str:
 # A polynomial monomial: sorted tuple of (symbol, exponent >= 1) pairs.
 SymMap = tuple
 
+#: symbol monomial -> its id, and id -> symbol monomial; id 0 is ``()``
+_SYMMAP_CACHE: dict[SymMap, int] = {(): 0}
+_SYMMAPS: list[SymMap] = [()]
+_INTERN_LOCK = Lock()
+#: (id, id) -> id of the product of the two symbol monomials
+_SYMMAP_PRODUCT_CACHE: dict[tuple[int, int], int] = {}
 
-def _merge_symmaps(s1: SymMap, s2: SymMap) -> SymMap:
-    if not s1:
-        return s2
-    if not s2:
-        return s1
-    acc = dict(s1)
-    for sym, exp in s2:
-        acc[sym] = acc.get(sym, 0) + exp
-    return tuple(sorted(acc.items()))
+
+def _symmap_id(symmap: SymMap) -> int:
+    """The id of a canonical symbol monomial, assigned on first sight.
+
+    The tuple is stored under its id before the id is published, and the
+    lock makes the check-and-assign one step, so a reader that finds an id
+    always finds its tuple and no tuple is ever given two ids.
+    """
+    sid = _SYMMAP_CACHE.get(symmap)
+    if sid is None:
+        with _INTERN_LOCK:
+            sid = _SYMMAP_CACHE.get(symmap)
+            if sid is None:
+                sid = len(_SYMMAPS)
+                _SYMMAPS.append(symmap)
+                _SYMMAP_CACHE[symmap] = sid
+    return sid
+
+
+def _merge_counts(a: tuple, b: tuple) -> tuple:
+    """Merge two tuples of ``(key, count)`` pairs sorted by key, adding the
+    counts of a key present in both: the product of two symbol monomials,
+    or of two Wick monomials' ``(generator, multiplicity)`` factors."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        g, h = a[i][0], b[j][0]
+        if g == h:
+            out.append((g, a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+        elif g < h:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 class PropPoly:
@@ -148,14 +196,28 @@ class PropPoly:
     polynomials compare equal structurally.  The constructor accepts any
     ``(symbol, exponent)`` iterables as keys: repeated symbols merge, zero
     exponents drop, and keys that become equal are summed.
+
+    The terms are stored keyed by interned symbol-monomial ids (see the
+    module docstring); ``terms`` builds the tuple-keyed dict on each read,
+    so the operators and queries of this class work on the ids instead.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[SymMap, Fraction] | None = None):
-        self.terms = _poly_sum(
+        self._terms = _poly_sum(
             PropPoly.from_symbol_powers(symmap, coeff) for symmap, coeff in (terms or {}).items()
-        ).terms
+        )._terms
+
+    @property
+    def terms(self) -> dict[SymMap, int | Fraction]:
+        """A new dict from each sorted ``(symbol, exponent)`` tuple to its
+        nonzero coefficient."""
+        return {_SYMMAPS[s]: c for s, c in self._terms.items()}
+
+    def __reduce__(self):
+        # ids are local to a process, so a pickle carries the tuples
+        return PropPoly, (self.terms,)
 
     # -- constructors -------------------------------------------------
 
@@ -172,7 +234,7 @@ class PropPoly:
         value = _rational(value)
         if not value:
             return _ZERO
-        return cls._raw({(): value})
+        return cls._raw({0: value})
 
     @classmethod
     def symbol(cls, sym: PropSymbol, exponent: int = 1, coeff=1) -> "PropPoly":
@@ -191,14 +253,14 @@ class PropPoly:
         coeff = _rational(coeff)
         if not coeff:
             return _ZERO
-        return cls._raw({tuple(sorted(acc.items())): coeff})
+        return cls._raw({_symmap_id(tuple(sorted(acc.items()))): coeff})
 
     @classmethod
     def _raw(cls, terms: dict) -> "PropPoly":
-        # trusted constructor: terms already canonical and zero-free, every
-        # integral coefficient an int
+        # trusted constructor: terms keyed by symbol-monomial id, zero-free,
+        # every integral coefficient an int
         out = object.__new__(cls)
-        out.terms = terms
+        out._terms = terms
         return out
 
     # -- ring operations ----------------------------------------------
@@ -208,16 +270,16 @@ class PropPoly:
             other = PropPoly.constant(other)
         if not isinstance(other, PropPoly):
             return NotImplemented
-        if not self.terms:
+        if not self._terms:
             return other
-        if not other.terms:
+        if not other._terms:
             return self
         return _poly_sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PropPoly._raw({s: -c for s, c in self.terms.items()})
+        return PropPoly._raw({s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -249,21 +311,25 @@ class PropPoly:
             other = PropPoly.constant(other)
         if not isinstance(other, PropPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self._terms)
 
     # -- queries --------------------------------------------------------
 
     def is_one(self) -> bool:
-        return self.terms == {(): 1}
+        return self._terms == {0: 1}
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.terms.get((), 0))
+        return Fraction(self._terms.get(0, 0))
 
     def symbols(self) -> set[PropSymbol]:
-        return {sym for symmap in self.terms for sym, _ in symmap}
+        return {sym for s in self._terms for sym, _ in _SYMMAPS[s]}
 
     def sorted_terms(self) -> list[tuple[SymMap, Fraction]]:
         return sorted(self.terms.items())
@@ -316,7 +382,7 @@ class PropPoly:
 
 
 _ZERO = PropPoly._raw({})
-_ONE = PropPoly._raw({(): 1})
+_ONE = PropPoly._raw({0: 1})
 
 
 def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
@@ -326,23 +392,36 @@ def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
     This is the one multiply-accumulate of the ring, behind every product
     and sum of polynomials: the products add into one coefficient dict,
     and only at the end are cancelled terms dropped and integral
-    coefficients stored as ``int``.  No polynomial is built per pair.
+    coefficients stored as ``int``.  No polynomial is built per pair.  The
+    product of two symbol monomials is looked up by their ids in
+    ``_SYMMAP_PRODUCT_CACHE``; only a pair not seen before is merged.
     """
     acc: dict = {}
     get = acc.get
+    product = _SYMMAP_PRODUCT_CACHE.get
     for a, b in pairs:
         if isinstance(a, PropPoly):
-            for s1, c1 in a.terms.items():
-                for s2, c2 in b.terms.items():
-                    s = _merge_symmaps(s1, s2)
+            for s1, c1 in a._terms.items():
+                for s2, c2 in b._terms.items():
+                    if not s1:
+                        s = s2
+                    elif not s2:
+                        s = s1
+                    else:
+                        s = product((s1, s2))
+                        if s is None:
+                            # threads that meet a new pair at once store one id
+                            s = _SYMMAP_PRODUCT_CACHE[s1, s2] = _symmap_id(
+                                _merge_counts(_SYMMAPS[s1], _SYMMAPS[s2])
+                            )
                     old = get(s)
                     acc[s] = c1 * c2 if old is None else old + c1 * c2
         elif a == 1:
-            for s, c in b.terms.items():
+            for s, c in b._terms.items():
                 old = get(s)
                 acc[s] = c if old is None else old + c
         else:
-            for s, c in b.terms.items():
+            for s, c in b._terms.items():
                 old = get(s)
                 acc[s] = a * c if old is None else old + a * c
     return PropPoly._raw({

@@ -86,11 +86,14 @@ def test_class_attributes():
 
 
 def test_proppoly_representation_is_private():
-    # only scalar.py knows how a PropPoly stores its terms; every other
-    # module goes through its operators and scalar._accumulate
+    # only scalar.py knows how a PropPoly stores its terms (keyed by
+    # interned symbol-monomial ids); every other module goes through its
+    # operators, its tuple-keyed ``terms`` and scalar._accumulate
+    private = ("PropPoly._raw", "._terms", "_SYMMAP_CACHE", "_SYMMAPS", "_SYMMAP_PRODUCT_CACHE",
+               "_symmap_id", "_INTERN_LOCK")
     for path in sorted(Path(qftalg.__file__).parent.glob("*.py")):
         if path.name == "scalar.py":
             continue
         text = path.read_text(encoding="utf-8")
-        for name in ("PropPoly._raw", "_merge_symmaps"):
+        for name in private:
             assert name not in text, f"{path.name} names {name}"

@@ -530,6 +530,24 @@ class TestExitCodes:
             for k in range(1201)
         }
 
+    def test_arbitrary_propagator_exponents(self):
+        # exponents are arbitrary-precision ints, never a fixed-width field
+        big = "D(x,y)^99999999999999999999999"
+        assert run_cli("counit", "--expr", big) == (0, big + "\n", "")
+        assert run_cli("counit", "--expr", f"{big}*{big}") == (
+            0, "D(x,y)^199999999999999999999998\n", "",
+        )
+        other = "D(x,z)^99999999999999999999999"
+        code, out, err = run_cli(
+            "counit", "--expr", f"({big}-{other})*({big}+{other})", "--output", "json"
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            '[{"coeff": "1/1", "symbols": [{"kind": "D", "a": "x", "b": "y", '
+            '"pow": 199999999999999999999998}]}, {"coeff": "-1/1", "symbols": '
+            '[{"kind": "D", "a": "x", "b": "z", "pow": 199999999999999999999998}]}]\n'
+        )
+
     def test_bad_seed_environment(self, monkeypatch):
         monkeypatch.setenv("QFTALG_SEED", "abc")
         code, out, err = run_cli("check", "--law", "antipode", "--random-count", "1")

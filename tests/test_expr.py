@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from qftalg.errors import ExprSyntaxError, PowerError
 from qftalg.expr import parse
-from qftalg.hopf import Element
+from qftalg import hopf
+from qftalg.hopf import Element, Generator, Monomial
 from qftalg.scalar import D, Dplus, PropPoly
 
 from oracles import mono, phi
@@ -23,6 +24,25 @@ class TestParseExamples:
     def test_rational_scalars_and_power_zero(self):
         got = parse("2/3 * phi(x) + phi^0(y)")
         assert got == Fraction(2, 3) * phi("x") + Element.one()
+
+    def test_long_product_is_built_once(self):
+        # the factors of a product are collected, not folded pairwise, so
+        # no intermediate monomial is cached per factor
+        before = len(hopf._MUL_CACHE)
+        got = parse("*".join(f"phi(x{i})" for i in range(1200)))
+        assert got == Element.from_monomial(
+            Monomial.from_occurrences(Generator(f"x{i}", 1) for i in range(1200))
+        )
+        assert len(hopf._MUL_CACHE) == before
+
+    def test_product_of_sums_and_scalars(self):
+        got = parse("2*phi(x)*(phi(y)+1)*D(x,y)*-phi(x)")
+        x2 = mono(("x", 1), ("x", 1))
+        expected = PropPoly.symbol(D("x", "y"), 1, -2) * (
+            Element.from_monomial(x2) * phi("y") + Element.from_monomial(x2)
+        )
+        assert got == expected
+        assert parse("phi(x)*(phi(y)-phi(y))*3") == Element.zero()
 
     def test_whitespace_insensitive(self):
         assert parse(" phi ( x ) * phi^2(y) ") == parse("phi(x)*phi^2(y)")

@@ -1,9 +1,17 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qftalg
+from qftalg import scalar
 from qftalg.errors import MissingSymbol
 from qftalg.scalar import (
     D,
@@ -213,3 +221,75 @@ class TestSympyOracle:
             same(_poly_sum([a, b, c]), sa + sb + sc)
             same(_poly_dot([(a, b), (q, c), (1, a), (3, b)]),
                  sa * sb + sympy.Rational(q.numerator, q.denominator) * sc + sa + 3 * sb)
+
+
+def test_len_counts_terms():
+    assert len(PropPoly.zero()) == 0
+    assert len(PropPoly.one()) == 1
+    assert len(PropPoly.symbol(D(X, Y)) + PropPoly.symbol(D(X, Z)) + 1) == 3
+
+
+def fresh_polys(tag: str) -> list[PropPoly]:
+    """Polynomials on symbols that no other test uses, with their products."""
+    syms = [D(f"{tag}{i}", f"{tag}{j}") for i in range(4) for j in range(i, 4)]
+    polys = [
+        PropPoly.from_symbol_powers([(s, 1 + k % 3), (t, 1)], k - 4)
+        + PropPoly.symbol(t, 2) + k
+        for k, (s, t) in enumerate(zip(syms, syms[1:] + syms[:1]))
+    ]
+    return polys + [a * b for a in polys for b in polys[:4]]
+
+
+def test_interning_is_safe_under_threads():
+    # threads that meet the same new symbol monomials at once must agree on
+    # their ids: a tuple interned twice would make equal results differ;
+    # each round starts all threads together on monomials not seen before
+    n_threads, rounds = 6, 80
+    barrier = threading.Barrier(n_threads)
+    results = [[None] * rounds for _ in range(n_threads)]
+
+    def build(k):
+        for r in range(rounds):
+            barrier.wait(timeout=60)
+            results[k][r] = fresh_polys(f"thr{r}_")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == results[0] for r in results)
+    for r in range(rounds):
+        assert [p.terms for p in results[-1][r]] == [p.terms for p in fresh_polys(f"thr{r}_")]
+    assert len(set(scalar._SYMMAPS)) == len(scalar._SYMMAPS)
+
+
+PICKLE_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from qftalg.scalar import D, PropPoly
+# intern other symbol monomials first, so this process numbers them differently
+for i in range(50):
+    PropPoly.symbol(D("other", f"o{i}"), i + 1) * PropPoly.symbol(D("other", "p"))
+p = PropPoly.symbol(D("pk", "a"), 2, 3) * PropPoly.symbol(D("pk", "b")) - PropPoly.constant("1/2")
+sys.stdout.write(pickle.dumps(p).hex())
+"""
+
+
+def test_pickle_carries_symbol_monomials_across_processes():
+    env = dict(os.environ, PYTHONPATH=str(Path(qftalg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", PICKLE_IN_ANOTHER_PROCESS],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    got = pickle.loads(bytes.fromhex(out))
+    expected = PropPoly.symbol(D("pk", "a"), 2, 3) * PropPoly.symbol(D("pk", "b")) - Fraction(1, 2)
+    assert got == expected
+    assert got.terms == expected.terms
+    assert str(got) == "-1/2 + 3*D(a,pk)^2*D(b,pk)"
+    assert pickle.loads(pickle.dumps(expected)) == expected
