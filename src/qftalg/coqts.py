@@ -14,7 +14,7 @@ commutative and fold-generates the chronological product.  It extends
 bilinearly from basis monomials, pairing only equal-power parts of their
 coproducts.  The twisted product and the bicharacter sum their
 coefficients through the ring's multiply-accumulate
-(``scalar._poly_dot``), grouped by output monomial, so no polynomial is
+(``scalar._poly_dots``), grouped by output monomial, so no polynomial is
 built per split pair and this module never reads how a
 :class:`~qftalg.scalar.PropPoly` stores its terms.
 

@@ -23,6 +23,13 @@ coproduct, but its left factor is a :class:`VertexWord` in which a vertex
 whose whole power went right stays as an emptied vertex ``[1]``.  Vertex
 words carry the partition coproduct (:func:`word_coproduct_prime`).
 
+Monomials are interned: each one is built once per process and shared, so
+every table keyed by monomials or by tuples of them (the memo tables here
+and in :mod:`~qftalg.coqts`, the terms of an :class:`Element` or a
+:class:`Tensor`) hashes and compares them by identity, in C.  The interning
+table grows only with the distinct monomials a session builds, and a lock
+makes sure no monomial is ever built twice, also under threads.
+
 All values are immutable and all operations pure; internal memo tables only
 cache idempotent results, so concurrent use is safe.
 """
@@ -35,6 +42,7 @@ from functools import cache
 from itertools import chain
 from math import comb
 from operator import itemgetter
+from threading import Lock
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .errors import NotInKernel, PowerError
@@ -63,32 +71,51 @@ class Monomial:
     public constructor validates and sorts its input; :meth:`append`,
     :meth:`split_first`, :meth:`split_last` and ``*`` work on the sorted
     tuples directly and never re-sort.
+
+    Monomials are interned (hash-consed): every path that builds one looks
+    its factor tuple up in ``_MONOMIAL_CACHE`` and returns the one object
+    stored there, so equal monomials are the identical object and compare
+    and hash by identity.  A pickle or a copy rebuilds through the public
+    constructor and so returns the interned object too.
     """
 
-    __slots__ = ("factors", "total_power", "size", "_hash")
+    __slots__ = ("factors", "total_power", "size")
 
-    def __init__(self, factors: Iterable[tuple[Generator, int]] = ()):
+    def __new__(cls, factors: Iterable[tuple[Generator, int]] = ()):
         acc: dict[Generator, int] = {}
         for gen, mult in factors:
             if mult < 0:
                 raise ValueError("multiplicities must be nonnegative")
             if mult:
                 acc[gen] = acc.get(gen, 0) + mult
-        self.factors = tuple(sorted(acc.items()))
-        self.total_power = sum(g.power * m for g, m in self.factors)
-        self.size = sum(m for _, m in self.factors)
-        self._hash = hash(self.factors)
+        factors = tuple(sorted(acc.items()))
+        return Monomial._raw(
+            factors,
+            sum(g.power * m for g, m in factors),
+            sum(m for _, m in factors),
+        )
 
-    @classmethod
-    def _raw(cls, factors: tuple, total_power: int, size: int) -> "Monomial":
+    @staticmethod
+    def _raw(factors: tuple, total_power: int, size: int) -> "Monomial":
         # trusted constructor: factors sorted, merged and multiplicity >= 1;
         # total_power and size are the sums the public constructor computes
-        out = object.__new__(cls)
-        out.factors = factors
-        out.total_power = total_power
-        out.size = size
-        out._hash = hash(factors)
+        out = _MONOMIAL_CACHE.get(factors)
+        if out is None:
+            with _MONOMIAL_LOCK:
+                out = _MONOMIAL_CACHE.get(factors)
+                if out is None:
+                    # filled in before it is stored, so a reader that finds
+                    # the object finds it whole
+                    out = object.__new__(Monomial)
+                    out.factors = factors
+                    out.total_power = total_power
+                    out.size = size
+                    _MONOMIAL_CACHE[factors] = out
         return out
+
+    def __reduce__(self):
+        # rebuild through the constructor, which returns the interned object
+        return Monomial, (self.factors,)
 
     @classmethod
     def unit(cls) -> "Monomial":
@@ -100,7 +127,7 @@ class Monomial:
 
     @classmethod
     def of(cls, gen: Generator) -> "Monomial":
-        return cls(((gen, 1),))
+        return Monomial._raw(((gen, 1),), gen.power, 1)
 
     @property
     def is_unit(self) -> bool:
@@ -153,12 +180,6 @@ class Monomial:
             rest = rest + ((gen, mult - 1),)
         return Monomial._raw(rest, self.total_power - gen.power, self.size - 1), gen
 
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.factors == other.factors
-
-    def __hash__(self):
-        return self._hash
-
     def __lt__(self, other):
         return self.factors < other.factors
 
@@ -178,6 +199,9 @@ class Monomial:
 _generator_of = itemgetter(0)
 
 
+#: factor tuple -> the one Monomial with those factors
+_MONOMIAL_CACHE: dict[tuple, Monomial] = {}
+_MONOMIAL_LOCK = Lock()
 _UNIT = Monomial()
 _MUL_CACHE: dict[tuple["Monomial", "Monomial"], "Monomial"] = {}
 

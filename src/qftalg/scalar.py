@@ -15,17 +15,18 @@ an integral ``Fraction`` equals and hashes like its ``int``, so the choice
 never shows in equality or rendering, but the bicharacter values and
 binomials of the twisted product, all integers, stay on integer
 arithmetic.  Every polynomial product and sum goes through one
-multiply-accumulate kernel, :func:`_poly_dot`.
+multiply-accumulate kernel, :func:`_poly_dots`.
 
 Symbol monomials are interned: each canonical ``(symbol, exponent)`` tuple
 gets a small int id for the life of the process (``0`` is the constant
 monomial), and a :class:`PropPoly` keys its terms by these ids.  The
-product of two ids is one lookup in a table of id pairs; the tuples are
-merged only the first time a pair is multiplied.  Interning never gives
-one tuple two ids, also under threads, and both tables grow only with the
-distinct monomials and pairs a session multiplies.  Ids never leave this
-module: :attr:`PropPoly.terms` maps them back to tuples, and a pickled
-polynomial carries its tuples.
+product of two ids is one lookup in a table keyed by the unordered id
+pair; the tuples are merged only the first time a pair is multiplied, in
+either order.  Interning never gives one tuple two ids, also under
+threads, and both tables grow only with the distinct monomials and pairs
+a session multiplies.  Ids never leave this module:
+:attr:`PropPoly.terms` maps them back to tuples, and a pickled polynomial
+carries its tuples.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function returning a new value.
@@ -102,7 +103,7 @@ def _accumulate(pairs: Iterable[tuple], acc: dict | None = None) -> dict:
 
     This is the one summation behind the sparse combinations of monomials
     and tensors (the terms of a polynomial are summed by
-    :func:`_poly_dot`): a key whose coefficients cancel is dropped, so the
+    :func:`_poly_dots`): a key whose coefficients cancel is dropped, so the
     result holds no zero coefficient.  Works for any coefficient type with
     ``+`` and truth testing (integers, :class:`PropPoly`).
     """
@@ -385,21 +386,26 @@ _ZERO = PropPoly._raw({})
 _ONE = PropPoly._raw({0: 1})
 
 
-def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
-    """``sum a*b`` over ``(a, b)`` pairs, ``a`` a rational or a
-    :class:`PropPoly` and ``b`` a :class:`PropPoly`.
+def _poly_dots(triples: Iterable[tuple]) -> dict:
+    """``{key: sum a*b}`` over ``(key, a, b)`` triples, ``a`` a rational or
+    a :class:`PropPoly` and ``b`` a :class:`PropPoly`.
 
     This is the one multiply-accumulate of the ring, behind every product
-    and sum of polynomials: the products add into one coefficient dict,
-    and only at the end are cancelled terms dropped and integral
-    coefficients stored as ``int``.  No polynomial is built per pair.  The
-    product of two symbol monomials is looked up by their ids in
-    ``_SYMMAP_PRODUCT_CACHE``; only a pair not seen before is merged.
+    and sum of polynomials: the products of each key add into one
+    coefficient dict, and only at the end are cancelled terms dropped,
+    integral coefficients stored as ``int`` and keys whose sum is zero
+    dropped.  No polynomial is built per pair.  The product of two symbol
+    monomials is looked up by their ids, smaller id first, in
+    ``_SYMMAP_PRODUCT_CACHE``; only a pair not seen in either order is
+    merged.
     """
-    acc: dict = {}
-    get = acc.get
+    accs: dict = {}
     product = _SYMMAP_PRODUCT_CACHE.get
-    for a, b in pairs:
+    for key, a, b in triples:
+        acc = accs.get(key)
+        if acc is None:
+            acc = accs[key] = {}
+        get = acc.get
         if isinstance(a, PropPoly):
             for s1, c1 in a._terms.items():
                 for s2, c2 in b._terms.items():
@@ -408,10 +414,11 @@ def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
                     elif not s2:
                         s = s1
                     else:
-                        s = product((s1, s2))
+                        pair = (s1, s2) if s1 < s2 else (s2, s1)
+                        s = product(pair)
                         if s is None:
                             # threads that meet a new pair at once store one id
-                            s = _SYMMAP_PRODUCT_CACHE[s1, s2] = _symmap_id(
+                            s = _SYMMAP_PRODUCT_CACHE[pair] = _symmap_id(
                                 _merge_counts(_SYMMAPS[s1], _SYMMAPS[s2])
                             )
                     old = get(s)
@@ -424,24 +431,20 @@ def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
             for s, c in b._terms.items():
                 old = get(s)
                 acc[s] = a * c if old is None else old + a * c
-    return PropPoly._raw({
-        s: c if type(c) is int else (c.numerator if c.denominator == 1 else c)
-        for s, c in acc.items()
-        if c
-    })
+    return {
+        key: PropPoly._raw(terms)
+        for key, acc in accs.items()
+        if (terms := {
+            s: c if type(c) is int else (c.numerator if c.denominator == 1 else c)
+            for s, c in acc.items()
+            if c
+        })
+    }
 
 
-def _poly_dots(triples: Iterable[tuple]) -> dict:
-    """``{key: sum a*b}`` over ``(key, a, b)`` triples: the pairs of each
-    key summed by one :func:`_poly_dot`, keys whose sum is zero dropped."""
-    groups: dict = {}
-    for key, a, b in triples:
-        pairs = groups.get(key)
-        if pairs is None:
-            groups[key] = [(a, b)]
-        else:
-            pairs.append((a, b))
-    return {key: p for key, pairs in groups.items() if (p := _poly_dot(pairs))}
+def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
+    """``sum a*b`` over ``(a, b)`` pairs: :func:`_poly_dots` under one key."""
+    return _poly_dots((None, a, b) for a, b in pairs).get(None, _ZERO)
 
 
 def _poly_sum(polys: Iterable[PropPoly]) -> PropPoly:

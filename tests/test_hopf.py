@@ -1,10 +1,19 @@
+import copy
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import qftalg
 from qftalg import hopf
 from qftalg.errors import NotInKernel, PowerError
+from qftalg.expr import parse
 from qftalg.hopf import (
     Element,
     Generator,
@@ -403,12 +412,11 @@ non_units = monomials.filter(lambda m: not m.is_unit)
 
 def assert_same(fast: Monomial, sorted_: Monomial):
     """A monomial made on the sorted tuples equals, in every stored field,
-    the one the validating constructor sorts."""
+    the one the validating constructor sorts, and is that interned object."""
     assert (fast.factors, fast.total_power, fast.size) == (
         sorted_.factors, sorted_.total_power, sorted_.size
     )
-    assert hash(fast) == hash(sorted_)
-    assert fast == sorted_
+    assert fast is sorted_
 
 
 class TestSortFreeMonomials:
@@ -484,3 +492,104 @@ class TestCoproductGrowth:
             mono(("z", 1)),
         }
 
+
+
+class TestInterning:
+    """One object per monomial: every way of building a monomial returns
+    the object interned for its factors, so equality is identity."""
+
+    x1, x2, y1 = Generator("ix", 1), Generator("ix", 2), Generator("iy", 1)
+
+    def test_every_construction_path(self):
+        x1, x2, y1 = self.x1, self.x2, self.y1
+        m = Monomial(((x2, 1), (x1, 2), (y1, 1)))
+        assert Monomial(((y1, 1), (x1, 1), (x2, 1), (x1, 1))) is m
+        assert Monomial.from_occurrences([y1, x1, x2, x1]) is m
+        assert Monomial.of(y1) is Monomial(((y1, 1),))
+        assert Monomial(((x1, 2), (x2, 1))).append(y1) is m
+        assert m.split_first() == (x1, Monomial(((x1, 1), (x2, 1), (y1, 1))))
+        assert m.split_first()[1] is Monomial(((x1, 1), (x2, 1), (y1, 1)))
+        assert m.split_last()[0] is Monomial(((x1, 2), (x2, 1)))
+        a, b = Monomial(((x1, 2),)), Monomial(((x2, 1), (y1, 1)))
+        assert a * b is m
+        assert b * a is m
+        assert Monomial() is Monomial.unit()
+        (parsed,) = parse("phi(iy)*phi(ix)*phi^2(ix)*phi(ix)").terms
+        assert parsed is m
+
+    def test_copies_are_the_interned_object(self):
+        m = Monomial.from_occurrences([self.x2, self.y1, self.x2])
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        assert copy.deepcopy(UNIT) is UNIT
+        assert pickle.loads(pickle.dumps(UNIT)) is UNIT
+        assert UNIT.factors == ()
+
+    def test_not_equal_to_other_types(self):
+        m = Monomial.of(self.x1)
+        assert (m == m.factors) is False
+        assert (m == "phi(ix)") is False
+        assert (UNIT == ()) is False
+        assert m != 1
+
+    def test_interning_is_safe_under_threads(self):
+        # threads that build the same new monomials at once must get the one
+        # interned object: a monomial built twice would leave a thread
+        # holding an object the table does not; each round starts all
+        # threads together on monomials not seen before
+        n_threads, rounds = 6, 80
+        barrier = threading.Barrier(n_threads)
+        results = [[None] * rounds for _ in range(n_threads)]
+
+        def fresh(r):
+            gens = [Generator(f"thr{r}_{i}", 1 + i % 3) for i in range(6)]
+            monos = [Monomial.from_occurrences(gens[:k]) for k in range(1, 7)]
+            return monos + [a * b for a in monos for b in monos[:3]]
+
+        def build(k):
+            for r in range(rounds):
+                barrier.wait(timeout=60)
+                results[k][r] = fresh(r)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for r in range(rounds):
+            for k in range(n_threads):
+                assert all(a is b for a, b in zip(results[k][r], results[0][r]))
+            assert all(hopf._MONOMIAL_CACHE[m.factors] is m for m in results[0][r])
+            assert all(a is b for a, b in zip(fresh(r), results[0][r]))
+
+
+PICKLE_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from qftalg.hopf import Generator, Monomial
+# intern other monomials first, so this process builds its own objects
+for i in range(50):
+    Monomial.of(Generator(f"o{i}", i + 1)) * Monomial.of(Generator("other", 1))
+m = Monomial(((Generator("pk", 2), 3), (Generator("pk", 1), 1), (Generator("pj", 1), 2)))
+sys.stdout.write(pickle.dumps(m).hex())
+"""
+
+
+def test_pickle_from_another_process_is_the_interned_monomial():
+    env = dict(os.environ, PYTHONPATH=str(Path(qftalg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", PICKLE_IN_ANOTHER_PROCESS],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    expected = Monomial.from_occurrences(
+        [Generator("pj", 1)] * 2 + [Generator("pk", 1)] + [Generator("pk", 2)] * 3
+    )
+    got = pickle.loads(bytes.fromhex(out))
+    assert got is expected
+    assert str(got) == "phi(pj)*phi(pj)*phi(pk)*phi^2(pk)*phi^2(pk)*phi^2(pk)"
+    assert UNIT.factors == ()

@@ -270,6 +270,18 @@ def test_interning_is_safe_under_threads():
     assert len(set(scalar._SYMMAPS)) == len(scalar._SYMMAPS)
 
 
+def test_product_table_holds_each_pair_once():
+    # the table of symbol-monomial products is keyed on the unordered pair,
+    # so q*p finds the product p*q made and adds no entry of its own
+    p = PropPoly.symbol(D("once", "p"))
+    q = PropPoly.symbol(D("once", "q"), 2)
+    before = len(scalar._SYMMAP_PRODUCT_CACHE)
+    pq = p * q
+    assert len(scalar._SYMMAP_PRODUCT_CACHE) == before + 1
+    assert q * p == pq
+    assert len(scalar._SYMMAP_PRODUCT_CACHE) == before + 1
+
+
 PICKLE_IN_ANOTHER_PROCESS = """
 import pickle, sys
 from qftalg.scalar import D, PropPoly
