@@ -18,14 +18,16 @@ coefficients through the ring's multiply-accumulate
 built per split pair and this module never reads how a
 :class:`~qftalg.scalar.PropPoly` stores its terms.
 
-Memo tables cache bicharacter values and chronological products of basis
-monomials; entries are idempotent, so concurrent reads/writes are benign
-and results do not depend on evaluation order.
+Bicharacter values of monomial pairs are memoised in a dict, ``_R_CACHE``;
+the power-grouped coproduct and the chronological product of a basis
+monomial by ``functools.cache``.  Entries are idempotent, so concurrent
+reads/writes are benign and results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import enum
+from functools import cache
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -51,6 +53,7 @@ def r_generators(g: Generator, h: Generator, mode: RMode) -> PropPoly:
     return PropPoly.symbol(sym, n, factorial(n))
 
 
+# a dict: its key reads the mode as a bool (below); wickbench/tracer.py reads it
 _R_CACHE: dict[tuple, PropPoly] = {}
 
 
@@ -97,21 +100,16 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
     return result
 
 
-_BUCKET_CACHE: dict[Monomial, dict[int, list]] = {}
-
-
+@cache
 def _coproduct_by_power(mono: Monomial) -> dict[int, list]:
     """Contraction coproduct grouped by the left slot's total field power.
 
     The bicharacter pairing vanishes across unequal powers, so the twisted
     product only ever pairs equal-power buckets.
     """
-    buckets = _BUCKET_CACHE.get(mono)
-    if buckets is None:
-        buckets = {}
-        for (left, right), c in monomial_coproduct(mono):
-            buckets.setdefault(left.total_power, []).append((left, right, c))
-        _BUCKET_CACHE[mono] = buckets
+    buckets = {}
+    for (left, right), c in monomial_coproduct(mono):
+        buckets.setdefault(left.total_power, []).append((left, right, c))
     return buckets
 
 
@@ -141,21 +139,14 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     )
 
 
-_T_CACHE: dict[Monomial, Element] = {}
-
-
+@cache
 def _chronological_monomial(mono: Monomial) -> Element:
     if mono.size <= 1:
         return Element.from_monomial(mono)
-    cached = _T_CACHE.get(mono)
-    if cached is not None:
-        return cached
     rest, last = mono.split_last()
-    result = twisted_product(
+    return twisted_product(
         _chronological_monomial(rest), Element.from_generator(last), RMode.CHRONOLOGICAL
     )
-    _T_CACHE[mono] = result
-    return result
 
 
 def chronological(

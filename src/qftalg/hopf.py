@@ -30,8 +30,10 @@ and in :mod:`~qftalg.coqts`, the terms of an :class:`Element` or a
 table grows only with the distinct monomials a session builds, and a lock
 makes sure no monomial is ever built twice, also under threads.
 
-All values are immutable and all operations pure; internal memo tables only
-cache idempotent results, so concurrent use is safe.
+All values are immutable and all operations pure.  Products and antipodes
+of monomials are memoised by ``functools.cache``, the coproducts in dicts
+that also keep each monomial they grow from; every entry is idempotent, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -155,16 +157,7 @@ class Monomial:
             return other
         if other.is_unit:
             return self
-        key = (self, other)
-        cached = _MUL_CACHE.get(key)
-        if cached is None:
-            cached = Monomial._raw(
-                _merge_counts(self.factors, other.factors),
-                self.total_power + other.total_power,
-                self.size + other.size,
-            )
-            _MUL_CACHE[key] = cached
-        return cached
+        return _monomial_product(self, other)
 
     def split_first(self) -> tuple[Generator, "Monomial"]:
         """Peel one occurrence of the first generator off the word."""
@@ -199,11 +192,18 @@ class Monomial:
 _generator_of = itemgetter(0)
 
 
-#: factor tuple -> the one Monomial with those factors
+#: factor tuple -> its one Monomial; a dict filled under a lock, so no monomial is built twice
 _MONOMIAL_CACHE: dict[tuple, Monomial] = {}
 _MONOMIAL_LOCK = Lock()
 _UNIT = Monomial()
-_MUL_CACHE: dict[tuple["Monomial", "Monomial"], "Monomial"] = {}
+
+
+@cache
+def _monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    """The product of two non-unit monomials, merged once per ordered pair."""
+    return Monomial._raw(
+        _merge_counts(a.factors, b.factors), a.total_power + b.total_power, a.size + b.size
+    )
 
 
 class VertexWord(NamedTuple):
@@ -572,6 +572,7 @@ def _primitive_split(gen: Generator) -> tuple:
     return ((gen, None, 1), (None, gen, 1))
 
 
+# dicts: _grown stores every rest it walks past; wickbench/tracer.py reads them
 _DELTA_CACHE: dict[Monomial, tuple] = {}
 _DELTA_PRIME_CACHE: dict[Monomial, tuple] = {}
 
@@ -694,26 +695,27 @@ def reduced_prime_iter(u: Element, n: int, strict: bool = True) -> Tensor:
     return out
 
 
-_ANTIPODE_CACHE: dict[Monomial, Element] = {}
-
-
+@cache
 def _antipode_monomial(mono: Monomial) -> Element:
+    """The antipode of a basis monomial.
+
+    S(C) is commutative, so its antipode is an algebra map (Sweedler,
+    *Hopf Algebras*, 1969, ch. 4): a word is the product of the antipodes
+    of its generator occurrences.  A generator takes the recursion
+    ``S(g) = -g - sum c S(left) right`` over its reduced contraction
+    coproduct, whose left sides are generators of lower power.
+    """
     if mono.is_unit:
         return Element.one()
-    cached = _ANTIPODE_CACHE.get(mono)
-    if cached is not None:
-        return cached
-    # Standard recursion S(m) = -m - sum c S(left) right on the reduced
-    # contraction coproduct; terminates because both slots of each reduced
-    # split carry strictly lower total field power than mono.
+    if mono.size > 1:
+        g, rest = mono.split_first()
+        return _antipode_monomial(Monomial.of(g)) * _antipode_monomial(rest)
     pairs = (
         (m * right, d * -c)
         for (left, right), c in monomial_reduced(mono)
         for m, d in _antipode_monomial(left).terms.items()
     )
-    result = Element._raw(_accumulate(pairs, {mono: _MINUS_ONE}))
-    _ANTIPODE_CACHE[mono] = result
-    return result
+    return Element._raw(_accumulate(pairs, {mono: _MINUS_ONE}))
 
 
 def antipode(u: Element) -> Element:

@@ -17,7 +17,7 @@ the reduced partition coproduct, with weights ``(-1)^(n+1)/n`` and
 ``1/n!``: each k-block partition appears there once per ordering of its
 blocks.  Products between the ``T(...)`` factors are normal products, and
 since the counit is multiplicative for them, ``t_c(m)`` is the same sum
-over the scalars ``t(m_B)``.
+over the scalars ``t(m_B)``; ``functools.cache`` keeps it per monomial.
 
 Conventions: ``t(1) = 1`` and ``t_c(1) = 0``, the unit of S(C) being the
 empty vertex word.  The connected expansion ``T_c(u) = sum t_c(u')u''``
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from functools import reduce
+from functools import cache, reduce
 from math import factorial
 from operator import mul
 from typing import Mapping
@@ -209,22 +209,17 @@ def connected_T(u: Element, strict: bool = True) -> Element:
     )
 
 
-_tc_cache: dict[Monomial, PropPoly] = {}
-
-
+@cache
 def _t_c_monomial(mono: Monomial) -> PropPoly:
     """Connected scalar functional on a basis monomial; t_c(1) = 0.  The
     counit is multiplicative for the normal product, so this is the
     partition sum of ``T_c`` over the scalars ``t(m_B)``."""
     if mono.is_unit:
         return PropPoly.zero()
-    cached = _tc_cache.get(mono)
-    if cached is None:
-        cached = _tc_cache[mono] = _poly_sum(
-            n * _mobius(len(blocks)) * reduce(mul, map(t_monomial, blocks))
-            for blocks, n in _partitions(mono).items()
-        )
-    return cached
+    return _poly_sum(
+        n * _mobius(len(blocks)) * reduce(mul, map(t_monomial, blocks))
+        for blocks, n in _partitions(mono).items()
+    )
 
 
 def t_c_functional(u: Element | Monomial, strict: bool = True) -> PropPoly:

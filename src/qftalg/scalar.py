@@ -137,11 +137,11 @@ def _signed_join(pieces: Iterable[str]) -> str:
 # A polynomial monomial: sorted tuple of (symbol, exponent >= 1) pairs.
 SymMap = tuple
 
-#: symbol monomial -> its id, and id -> symbol monomial; id 0 is ``()``
+#: symbol monomial <-> id (0 is ``()``); dicts that intern under the lock
 _SYMMAP_CACHE: dict[SymMap, int] = {(): 0}
 _SYMMAPS: list[SymMap] = [()]
 _INTERN_LOCK = Lock()
-#: (id, id) -> id of the product of the two symbol monomials
+#: (id, id) -> id of the product; a dict read inline by _poly_dots, whose misses intern
 _SYMMAP_PRODUCT_CACHE: dict[tuple[int, int], int] = {}
 
 
@@ -266,11 +266,16 @@ class PropPoly:
 
     # -- ring operations ----------------------------------------------
 
+    # Each operator tests for a PropPoly operand by its exact type first:
+    # Fraction is an abstract base class, so isinstance against it runs
+    # ABCMeta.__instancecheck__, in Python.
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PropPoly.constant(other)
-        if not isinstance(other, PropPoly):
-            return NotImplemented
+        if type(other) is not PropPoly:
+            if isinstance(other, (int, Fraction)):
+                other = PropPoly.constant(other)
+            elif not isinstance(other, PropPoly):
+                return NotImplemented
         if not self._terms:
             return other
         if not other._terms:
@@ -283,17 +288,18 @@ class PropPoly:
         return PropPoly._raw({s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PropPoly.constant(other)
-        if not isinstance(other, PropPoly):
-            return NotImplemented
+        if type(other) is not PropPoly:
+            if isinstance(other, (int, Fraction)):
+                other = PropPoly.constant(other)
+            elif not isinstance(other, PropPoly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, PropPoly)):
+        if type(other) is not PropPoly and not isinstance(other, (int, Fraction, PropPoly)):
             return NotImplemented
         return _poly_dot(((other, self),))
 
@@ -308,10 +314,11 @@ class PropPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PropPoly.constant(other)
-        if not isinstance(other, PropPoly):
-            return NotImplemented
+        if type(other) is not PropPoly:
+            if isinstance(other, (int, Fraction)):
+                other = PropPoly.constant(other)
+            elif not isinstance(other, PropPoly):
+                return NotImplemented
         return self._terms == other._terms
 
     def __bool__(self):

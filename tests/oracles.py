@@ -21,6 +21,8 @@ shared code path into the implementations under test:
   over perfect matchings.
 * :func:`set_partitions` lists the set partitions of labelled items one
   by one (Bell(n) of them), with no grouping of equal blocks.
+* :func:`antipode_recursion` runs the defining recursion of the antipode
+  on the whole monomial, over the coproduct of :func:`delta_closed_form`.
 """
 
 from __future__ import annotations
@@ -265,6 +267,21 @@ def set_partitions(items: list):
         yield [[head]] + partition
         for i in range(len(partition)):
             yield partition[:i] + [[head] + partition[i]] + partition[i + 1:]
+
+
+def antipode_recursion(mono: Monomial, memo: dict) -> Element:
+    """``S(m) = -m - sum c S(m') m''`` over the reduced coproduct of the
+    whole monomial ``m``; ``memo`` keeps the antipode of each sub-monomial
+    met, which the recursion otherwise recomputes exponentially often."""
+    if mono.is_unit:
+        return Element.one()
+    if mono not in memo:
+        out = -Element.from_monomial(mono)
+        for (left, right), c in delta_closed_form(mono).terms.items():
+            if not left.is_unit and not right.is_unit:
+                out = out - c * (antipode_recursion(left, memo) * Element.from_monomial(right))
+        memo[mono] = out
+    return memo[mono]
 
 
 def phi(point: str, power: int = 1) -> Element:

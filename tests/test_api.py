@@ -7,6 +7,7 @@ import types
 from pathlib import Path
 
 import qftalg
+from qftalg import coqts, hopf, renorm
 
 PACKAGE = [
     "AdjacencyTerm", "D", "DegreeSequence", "Dplus", "Element", "ElementFamily",
@@ -97,3 +98,49 @@ def test_proppoly_representation_is_private():
         text = path.read_text(encoding="utf-8")
         for name in private:
             assert name not in text, f"{path.name} names {name}"
+
+
+
+# A pure function of monomials is memoised by functools.cache; a module-level
+# dict stays only where it stores more than one entry per call (the coproducts
+# keep each monomial they grow from), keys on a reduced argument (the
+# bicharacter reads its mode as a bool) or interns under a lock.
+CACHE_DICTS = {
+    "coqts._R_CACHE", "hopf._DELTA_CACHE", "hopf._DELTA_PRIME_CACHE", "hopf._MONOMIAL_CACHE",
+    "scalar._SYMMAP_CACHE", "scalar._SYMMAP_PRODUCT_CACHE",
+}
+CACHED_FUNCTIONS = {
+    "coqts._chronological_monomial", "coqts._coproduct_by_power", "hopf._antipode_monomial",
+    "hopf._binomial_split", "hopf._monomial_product", "renorm._t_c_monomial",
+}
+
+
+def test_memo_tables_are_pinned():
+    names = {
+        f"{module}.{name}": value
+        for module in MODULES
+        for name, value in vars(importlib.import_module(f"qftalg.{module}")).items()
+    }
+    assert {n for n, v in names.items() if isinstance(v, dict) and "CACHE" in n} == CACHE_DICTS
+    assert {n for n, v in names.items() if hasattr(v, "cache_info")} == CACHED_FUNCTIONS
+
+
+def test_cached_functions_hit_on_a_repeated_call():
+    m = qftalg.Monomial.from_occurrences(
+        qftalg.Generator(p, n) for p, n in [("x", 2), ("y", 1), ("y", 1)]
+    )
+    u = qftalg.Element.from_monomial(m)
+    calls = [
+        (hopf._monomial_product, lambda: m * m),
+        (hopf._antipode_monomial, lambda: qftalg.antipode(u)),
+        (coqts._coproduct_by_power, lambda: qftalg.twisted_product(u, u, qftalg.RMode.OPERATOR)),
+        (coqts._chronological_monomial, lambda: qftalg.chronological(m)),
+        (renorm._t_c_monomial, lambda: qftalg.t_c_functional(m)),
+    ]
+    for fn, call in calls:
+        call()
+        before = fn.cache_info()
+        call()
+        after = fn.cache_info()
+        assert after.misses == before.misses, fn.__name__
+        assert after.hits > before.hits, fn.__name__

@@ -28,12 +28,12 @@ class TestParseExamples:
     def test_long_product_is_built_once(self):
         # the factors of a product are collected, not folded pairwise, so
         # no intermediate monomial is cached per factor
-        before = len(hopf._MUL_CACHE)
+        before = hopf._monomial_product.cache_info().currsize
         got = parse("*".join(f"phi(x{i})" for i in range(1200)))
         assert got == Element.from_monomial(
             Monomial.from_occurrences(Generator(f"x{i}", 1) for i in range(1200))
         )
-        assert len(hopf._MUL_CACHE) == before
+        assert hopf._monomial_product.cache_info().currsize == before
 
     def test_product_of_sums_and_scalars(self):
         got = parse("2*phi(x)*(phi(y)+1)*D(x,y)*-phi(x)")

@@ -33,10 +33,17 @@ from qftalg.hopf import (
     reduced_prime_iter,
     word_coproduct_prime,
 )
-from qftalg.laws import exhaustive_monomials
+from qftalg.laws import default_family, exhaustive_monomials
 from qftalg.scalar import D, PropPoly
 
-from oracles import delta_closed_form, delta_prime_subsets, mono, phi, split_by_occurrence
+from oracles import (
+    antipode_recursion,
+    delta_closed_form,
+    delta_prime_subsets,
+    mono,
+    phi,
+    split_by_occurrence,
+)
 
 
 def t2(*entries) -> Tensor:
@@ -267,6 +274,21 @@ class TestAntipode:
     def test_square_generator(self):
         expected = 2 * Element.from_monomial(mono(("x", 1), ("x", 1))) - phi("x", 2)
         assert antipode(phi("x", 2)) == expected
+
+    def test_cube_generator(self):
+        # the signed compositions of 3: (3), (1,2), (2,1) and (1,1,1)
+        x = phi("x")
+        assert antipode(phi("x", 3)) == -phi("x", 3) + 6 * x * phi("x", 2) - 6 * x * x * x
+
+    def test_matches_the_whole_monomial_recursion(self):
+        # the algebra-map antipode against the defining recursion on the
+        # whole monomial, on every member of the antipode law's family
+        memo = {}
+        for u in default_family(seed=3, random_count=4).members:
+            expected = Element.zero()
+            for m, coeff in u.terms.items():
+                expected = expected + coeff * antipode_recursion(m, memo)
+            assert antipode(u) == expected, str(u)
 
     def test_hopf_axiom_small(self):
         for gens in [[("x", 2)], [("x", 1), ("y", 1)], [("x", 2), ("y", 3)], [("x", 1), ("x", 1)]]:

@@ -229,6 +229,29 @@ def test_len_counts_terms():
     assert len(PropPoly.symbol(D(X, Y)) + PropPoly.symbol(D(X, Z)) + 1) == 3
 
 
+def test_operands_of_every_type():
+    # the operators test for an exact PropPoly first; a subclass, an int, a
+    # bool and a Fraction still take the isinstance path, and a foreign
+    # operand is refused
+    class Sub(PropPoly):
+        pass
+
+    p = PropPoly.symbol(D(X, Y)) + 1
+    sub = Sub._raw(p._terms)
+    for other, as_poly in [(sub, p), (3, PropPoly.constant(3)), (True, PropPoly.one()),
+                           (Fraction(1, 2), PropPoly.constant(Fraction(1, 2)))]:
+        assert p + other == as_poly + p == other + p
+        assert p - other == p + -as_poly
+        assert other - p == as_poly - p
+        assert p * other == as_poly * p == other * p
+        assert (p == other) == (as_poly == p)
+    for foreign in ["1", 1.5, None]:
+        for op in (lambda: p + foreign, lambda: p - foreign, lambda: p * foreign):
+            with pytest.raises(TypeError):
+                op()
+        assert p != foreign
+
+
 def fresh_polys(tag: str) -> list[PropPoly]:
     """Polynomials on symbols that no other test uses, with their products."""
     syms = [D(f"{tag}{i}", f"{tag}{j}") for i in range(4) for j in range(i, 4)]
