@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 law failures, 2 usage errors (bad syntax, bad
+Exit codes: 0 success, 1 law failures, 2 usage errors: bad syntax, a bad
 mode, bad files, a bad ``QFTALG_SEED`` or ``--random-count``, input too
-deep for the recursion limit).  Output
-is deterministic for fixed inputs and seed; the environment variable
-``QFTALG_SEED`` overrides ``--seed``.
+deep for the recursion limit, and a number too long for Python's
+int-to-string limit (4300 digits by default), whether as an integer
+literal of the input or as a coefficient of the result.  Every usage
+error prints one ``error:`` line on stderr, from the one handler in
+:func:`main`.  ``check --law`` offers the names of :data:`laws.LAWS` and
+``all``.  Output is deterministic for fixed inputs and seed; the
+environment variable ``QFTALG_SEED`` overrides ``--seed``.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import sys
 
 from . import laws
 from .coqts import RMode, chronological, t_functional, twisted_product
-from .errors import ExprSyntaxError, ModeError, PowerError, QftAlgError, UnsupportedFormat
+from .errors import ExprSyntaxError, ModeError, PowerError, QftAlgError
 from .expr import parse
 from .graphs import export_graphs
 from .hopf import coproduct, coproduct_prime
@@ -24,6 +28,9 @@ from .renorm import Vertex, connected_T, renormalized_T, t_c_functional
 
 USAGE_ERROR = 2
 LAW_FAILURE = 1
+
+# the commands defined for the chronological (feynman) pairing only
+_CHRONOLOGICAL = ("T", "t", "Tc", "tc", "TR")
 
 
 def _emit(obj, output: str) -> None:
@@ -33,27 +40,8 @@ def _emit(obj, output: str) -> None:
         print(str(obj))
 
 
-def _parse_expr(text: str):
-    try:
-        return parse(text)
-    except (ExprSyntaxError, PowerError) as exc:
-        raise SystemExit(_usage_error(f"bad expression: {exc}"))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
-
-
 def _mode_from_args(args) -> RMode:
     return RMode.CHRONOLOGICAL if args.mode == "feynman" else RMode.OPERATOR
-
-
-def _require_feynman(args) -> None:
-    if args.mode != "feynman":
-        raise SystemExit(
-            _usage_error("chronological operations (T/t/Tc/tc/TR) require --mode feynman")
-        )
 
 
 def _kernel_lenient(expr):
@@ -67,11 +55,11 @@ def _kernel_lenient(expr):
     return expr
 
 
-def _add_expr_command(subparsers, name, help_text, with_mode=False):
+def _add_expr_command(subparsers, name, help_text):
     sub = subparsers.add_parser(name, help=help_text)
     sub.add_argument("--expr", required=True, help="field expression")
     sub.add_argument("--output", choices=("pretty", "json"), default="pretty")
-    if with_mode:
+    if name in _CHRONOLOGICAL:
         sub.add_argument("--mode", choices=("feynman", "wightman"), default="feynman")
     return sub
 
@@ -94,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
     wick.add_argument("--rhs", required=True)
     wick.add_argument("--output", choices=("pretty", "json"), default="pretty")
 
-    _add_expr_command(sub, "T", "chronological product", with_mode=True)
-    _add_expr_command(sub, "t", "scalar part of the chronological product", with_mode=True)
-    _add_expr_command(sub, "Tc", "connected chronological product", with_mode=True)
-    _add_expr_command(sub, "tc", "connected scalar functional", with_mode=True)
+    _add_expr_command(sub, "T", "chronological product")
+    _add_expr_command(sub, "t", "scalar part of the chronological product")
+    _add_expr_command(sub, "Tc", "connected chronological product")
+    _add_expr_command(sub, "tc", "connected scalar functional")
 
-    tr = _add_expr_command(sub, "TR", "renormalized chronological product", with_mode=True)
+    tr = _add_expr_command(sub, "TR", "renormalized chronological product")
     tr.add_argument("--vertex", required=True, help="JSON vertex rule table")
 
     graphs = sub.add_parser("graphs", help="Feynman-graph expansion of a monomial")
@@ -108,15 +96,19 @@ def build_parser() -> argparse.ArgumentParser:
     graphs.add_argument("--format", choices=("dot", "json"), default="dot")
 
     check = sub.add_parser("check", help="run the law checkers")
-    check.add_argument(
-        "--law",
-        choices=("coalgebra", "bialgebra", "comodule", "antipode", "all"),
-        default="all",
-    )
+    check.add_argument("--law", choices=(*laws.LAWS, "all"), default="all")
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--random-count", type=int, default=laws.DEFAULT_RANDOM_COUNT)
     check.add_argument("--output", choices=("pretty", "json"), default="pretty")
     return parser
+
+
+def _read_vertex(path: str) -> Vertex:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return Vertex.from_json(handle.read())
+    except (OSError, ValueError) as exc:
+        raise QftAlgError(f"bad vertex file: {exc}") from exc
 
 
 def _run_check(args) -> int:
@@ -126,24 +118,14 @@ def _run_check(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            return _usage_error(f"QFTALG_SEED must be an integer, got {env_seed!r}")
+            raise QftAlgError(f"QFTALG_SEED must be an integer, got {env_seed!r}") from None
     count = args.random_count
     if count < 0:
-        return _usage_error(f"--random-count must be >= 0, got {count}")
+        raise QftAlgError(f"--random-count must be >= 0, got {count}")
     if args.law == "all":
         reports = laws.run_all_checks(seed, count)
-    elif args.law == "coalgebra":
-        fam = laws.default_family(seed, count)
-        reports = [
-            laws.check_coalgebra("delta", fam),
-            laws.check_coalgebra("delta-prime", fam),
-        ]
-    elif args.law == "bialgebra":
-        reports = [laws.check_bialgebra(laws.bialgebra_family(seed, count))]
-    elif args.law == "comodule":
-        reports = [laws.check_comodule_coalgebra(laws.comodule_family(seed, count))]
     else:
-        reports = [laws.check_antipode(laws.default_family(seed, count))]
+        reports = laws.LAWS[args.law](seed, count)
 
     if args.output == "json":
         print(json.dumps([r.to_json() for r in reports]))
@@ -157,70 +139,61 @@ def _run_check(args) -> int:
     return 0 if all(r.passed for r in reports) else LAW_FAILURE
 
 
+def _run(args) -> int:
+    if args.command in _CHRONOLOGICAL and args.mode != "feynman":
+        raise ModeError(
+            f"chronological operations ({'/'.join(_CHRONOLOGICAL)}) require --mode feynman"
+        )
+    if args.command == "delta":
+        _emit(coproduct(parse(args.expr)), args.output)
+    elif args.command == "delta-prime":
+        _emit(coproduct_prime(parse(args.expr)), args.output)
+    elif args.command == "counit":
+        _emit(parse(args.expr).counit(), args.output)
+    elif args.command == "wick":
+        product = twisted_product(parse(args.lhs), parse(args.rhs), _mode_from_args(args))
+        _emit(product, args.output)
+    elif args.command == "T":
+        _emit(chronological(parse(args.expr)), args.output)
+    elif args.command == "t":
+        _emit(t_functional(parse(args.expr)), args.output)
+    elif args.command == "Tc":
+        _emit(connected_T(_kernel_lenient(parse(args.expr)), strict=False), args.output)
+    elif args.command == "tc":
+        _emit(t_c_functional(_kernel_lenient(parse(args.expr)), strict=False), args.output)
+    elif args.command == "TR":
+        vertex = _read_vertex(args.vertex)
+        expr = _kernel_lenient(parse(args.expr))
+        _emit(renormalized_T(expr, vertex, strict=False), args.output)
+    elif args.command == "graphs":
+        terms = parse(args.expr).sorted_terms()
+        if len(terms) != 1 or not terms[0][1].is_one():
+            raise QftAlgError("graphs requires a single monomial with coefficient 1")
+        print(export_graphs(terms[0][0], args.connected, args.format))
+    elif args.command == "check":
+        return _run_check(args)
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; every usage error ends here as one stderr line and exit 2."""
     try:
-        args = parser.parse_args(argv)
+        return _run(build_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize the type
         return int(exc.code or 0)
-
-    try:
-        if args.command == "delta":
-            _emit(coproduct(_parse_expr(args.expr)), args.output)
-        elif args.command == "delta-prime":
-            _emit(coproduct_prime(_parse_expr(args.expr)), args.output)
-        elif args.command == "counit":
-            _emit(_parse_expr(args.expr).counit(), args.output)
-        elif args.command == "wick":
-            product = twisted_product(
-                _parse_expr(args.lhs), _parse_expr(args.rhs), _mode_from_args(args)
-            )
-            _emit(product, args.output)
-        elif args.command == "T":
-            _require_feynman(args)
-            _emit(chronological(_parse_expr(args.expr)), args.output)
-        elif args.command == "t":
-            _require_feynman(args)
-            _emit(t_functional(_parse_expr(args.expr)), args.output)
-        elif args.command == "Tc":
-            _require_feynman(args)
-            expr = _kernel_lenient(_parse_expr(args.expr))
-            _emit(connected_T(expr, strict=False), args.output)
-        elif args.command == "tc":
-            _require_feynman(args)
-            expr = _kernel_lenient(_parse_expr(args.expr))
-            _emit(t_c_functional(expr, strict=False), args.output)
-        elif args.command == "TR":
-            _require_feynman(args)
-            try:
-                with open(args.vertex, "r", encoding="utf-8") as handle:
-                    vertex = Vertex.from_json(handle.read())
-            except (OSError, ValueError) as exc:
-                return _usage_error(f"bad vertex file: {exc}")
-            expr = _kernel_lenient(_parse_expr(args.expr))
-            _emit(renormalized_T(expr, vertex, strict=False), args.output)
-        elif args.command == "graphs":
-            expr = _parse_expr(args.expr)
-            terms = expr.sorted_terms()
-            if len(terms) != 1 or not terms[0][1].is_one():
-                return _usage_error("graphs requires a single monomial with coefficient 1")
-            try:
-                print(export_graphs(terms[0][0], args.connected, args.format))
-            except UnsupportedFormat as exc:
-                return _usage_error(str(exc))
-        elif args.command == "check":
-            return _run_check(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except ModeError as exc:
-        return _usage_error(str(exc))
+    except (ExprSyntaxError, PowerError) as exc:
+        message = f"bad expression: {exc}"
     except QftAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        message = str(exc)
     except RecursionError:
-        return _usage_error("input too deep to evaluate (recursion limit exceeded)")
-    return 0
+        message = "input too deep to evaluate (recursion limit exceeded)"
+    except ValueError as exc:
+        # such as a coefficient past Python's int-to-string limit, met
+        # while the result is rendered
+        message = str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ Grammar (whitespace-insensitive)::
 
 ``phi^0(x)`` normalizes to the unit.  Propagator atoms exist so that every
 string the pretty-printers emit parses back to an equal element.  Parse
-errors, a zero denominator among them, carry the byte offset and the
+errors, a zero denominator and an integer literal past Python's
+int-to-string limit among them, carry the byte offset and the
 expected-token set; negative exponents raise
 :class:`~qftalg.errors.PowerError`.
 """
@@ -78,6 +79,18 @@ class _Parser:
         kind, value, _ = self.peek()
         return kind == "OP" and value in ops
 
+    def integer(self, expected) -> int:
+        """Consume an INT token and convert it; a literal past Python's
+        int-to-string limit is a syntax error at its offset."""
+        kind, value, offset = self.peek()
+        if kind != "INT":
+            self.fail([expected])
+        self.advance()
+        try:
+            return int(value)
+        except ValueError:
+            raise ExprSyntaxError(f"integer of {len(value)} digits is too long", offset) from None
+
     def parse(self) -> Element:
         value = self.expr()
         if self.peek()[0] != "EOF":
@@ -107,15 +120,11 @@ class _Parser:
 
     def exponent(self) -> int:
         self.expect_op("^")
-        negative = False
-        if self.at_op("-"):
-            offset = self.advance()[2]
-            negative = True
-        kind, value, offset = self.peek()
-        if kind != "INT":
-            self.fail(["integer"])
-        self.advance()
-        power = int(value)
+        negative = self.at_op("-")
+        if negative:
+            self.advance()
+        offset = self.peek()[2]
+        power = self.integer("integer")
         if negative:
             raise PowerError(-power, offset)
         return power
@@ -130,15 +139,11 @@ class _Parser:
     def atom(self) -> Element:
         kind, value, offset = self.peek()
         if kind == "INT":
-            self.advance()
-            numerator = int(value)
+            numerator = self.integer("rational")
             if self.at_op("/"):
                 self.advance()
-                dkind, dvalue, doffset = self.peek()
-                if dkind != "INT":
-                    self.fail(["integer denominator"])
-                self.advance()
-                denominator = int(dvalue)
+                doffset = self.peek()[2]
+                denominator = self.integer("integer denominator")
                 if not denominator:
                     raise ExprSyntaxError("zero denominator", doffset)
                 return Element.scalar(Fraction(numerator, denominator))

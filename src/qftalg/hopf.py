@@ -90,17 +90,11 @@ class Monomial:
                 raise ValueError("multiplicities must be nonnegative")
             if mult:
                 acc[gen] = acc.get(gen, 0) + mult
-        factors = tuple(sorted(acc.items()))
-        return Monomial._raw(
-            factors,
-            sum(g.power * m for g, m in factors),
-            sum(m for _, m in factors),
-        )
+        return Monomial._raw(tuple(sorted(acc.items())))
 
     @staticmethod
-    def _raw(factors: tuple, total_power: int, size: int) -> "Monomial":
-        # trusted constructor: factors sorted, merged and multiplicity >= 1;
-        # total_power and size are the sums the public constructor computes
+    def _raw(factors: tuple) -> "Monomial":
+        # trusted constructor: factors sorted, merged and multiplicity >= 1
         out = _MONOMIAL_CACHE.get(factors)
         if out is None:
             with _MONOMIAL_LOCK:
@@ -110,8 +104,8 @@ class Monomial:
                     # the object finds it whole
                     out = object.__new__(Monomial)
                     out.factors = factors
-                    out.total_power = total_power
-                    out.size = size
+                    out.total_power = sum(g.power * m for g, m in factors)
+                    out.size = sum(m for _, m in factors)
                     _MONOMIAL_CACHE[factors] = out
         return out
 
@@ -129,7 +123,7 @@ class Monomial:
 
     @classmethod
     def of(cls, gen: Generator) -> "Monomial":
-        return Monomial._raw(((gen, 1),), gen.power, 1)
+        return Monomial._raw(((gen, 1),))
 
     @property
     def is_unit(self) -> bool:
@@ -150,7 +144,7 @@ class Monomial:
             factors = factors[:i] + ((gen, factors[i][1] + 1),) + factors[i + 1:]
         else:
             factors = factors[:i] + ((gen, 1),) + factors[i:]
-        return Monomial._raw(factors, self.total_power + gen.power, self.size + 1)
+        return Monomial._raw(factors)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if self.is_unit:
@@ -164,14 +158,14 @@ class Monomial:
         (gen, mult), rest = self.factors[0], self.factors[1:]
         if mult > 1:
             rest = ((gen, mult - 1),) + rest
-        return gen, Monomial._raw(rest, self.total_power - gen.power, self.size - 1)
+        return gen, Monomial._raw(rest)
 
     def split_last(self) -> tuple["Monomial", Generator]:
         """Peel one occurrence of the last generator off the word."""
         rest, (gen, mult) = self.factors[:-1], self.factors[-1]
         if mult > 1:
             rest = rest + ((gen, mult - 1),)
-        return Monomial._raw(rest, self.total_power - gen.power, self.size - 1), gen
+        return Monomial._raw(rest), gen
 
     def __lt__(self, other):
         return self.factors < other.factors
@@ -201,9 +195,7 @@ _UNIT = Monomial()
 @cache
 def _monomial_product(a: Monomial, b: Monomial) -> Monomial:
     """The product of two non-unit monomials, merged once per ordered pair."""
-    return Monomial._raw(
-        _merge_counts(a.factors, b.factors), a.total_power + b.total_power, a.size + b.size
-    )
+    return Monomial._raw(_merge_counts(a.factors, b.factors))
 
 
 class VertexWord(NamedTuple):
@@ -542,8 +534,7 @@ def _grown(mono: Monomial, table: dict, split_generator: Callable[[Generator], t
             splits = _UNIT_SPLITS
             break
         walked.append(mono)
-        (gen, mult), rest = mono.factors[0], mono.factors[1:]
-        mono = Monomial._raw(rest, mono.total_power - gen.power * mult, mono.size - mult)
+        mono = Monomial._raw(mono.factors[1:])
         splits = table.get(mono)
     for mono in reversed(walked):
         gen, mult = mono.factors[0]

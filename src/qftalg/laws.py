@@ -285,13 +285,22 @@ def mutated_coproduct(u: Element) -> Tensor:
     )
 
 
+def _coalgebra_laws(seed: int, count: int) -> list[LawReport]:
+    family = default_family(seed, count)
+    return [check_coalgebra(which, family) for which in _COPRODUCTS]
+
+
+# law name -> its reports for a seed and a random count, in the order
+# ``check --law all`` runs them.  Each entry looks its checker up by name
+# when it runs, so a patched or wrapped module attribute takes effect.
+LAWS: dict[str, Callable[[int, int], list[LawReport]]] = {
+    "coalgebra": _coalgebra_laws,
+    "bialgebra": lambda seed, count: [check_bialgebra(bialgebra_family(seed, count))],
+    "comodule": lambda seed, count: [check_comodule_coalgebra(comodule_family(seed, count))],
+    "antipode": lambda seed, count: [check_antipode(default_family(seed, count))],
+}
+
+
 def run_all_checks(seed: int = 0, random_count: int = DEFAULT_RANDOM_COUNT) -> list[LawReport]:
-    """The full default suite, in a fixed order."""
-    fam = default_family(seed, random_count)
-    return [
-        check_coalgebra("delta", fam),
-        check_coalgebra("delta-prime", fam),
-        check_bialgebra(bialgebra_family(seed, random_count)),
-        check_comodule_coalgebra(comodule_family(seed, random_count)),
-        check_antipode(fam),
-    ]
+    """The full default suite, in the order of :data:`LAWS`."""
+    return [report for run in LAWS.values() for report in run(seed, random_count)]

@@ -162,13 +162,14 @@ def zero_vertex() -> Vertex:
     return Vertex()
 
 
+@cache
 def _partitions(mono: Monomial) -> dict:
     """The set partitions of the occurrences of ``mono``: a dict from each
     sorted tuple of block monomials to the number of labelled partitions
     that give it.  The block of the first occurrence ``g`` is ``g`` times
     the left side of each partition-coproduct split of the rest, whose
     coefficient counts the labelled choices; the right side is partitioned
-    in turn."""
+    in turn.  The dict is cached: callers read it and never change it."""
     if mono.is_unit:
         return {(): 1}
     g, rest = mono.split_first()

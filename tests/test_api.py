@@ -111,7 +111,8 @@ CACHE_DICTS = {
 }
 CACHED_FUNCTIONS = {
     "coqts._chronological_monomial", "coqts._coproduct_by_power", "hopf._antipode_monomial",
-    "hopf._binomial_split", "hopf._monomial_product", "renorm._t_c_monomial",
+    "hopf._binomial_split", "hopf._monomial_product", "renorm._partitions",
+    "renorm._t_c_monomial",
 }
 
 
@@ -136,6 +137,7 @@ def test_cached_functions_hit_on_a_repeated_call():
         (coqts._coproduct_by_power, lambda: qftalg.twisted_product(u, u, qftalg.RMode.OPERATOR)),
         (coqts._chronological_monomial, lambda: qftalg.chronological(m)),
         (renorm._t_c_monomial, lambda: qftalg.t_c_functional(m)),
+        (renorm._partitions, lambda: qftalg.connected_T(u)),
     ]
     for fn, call in calls:
         call()

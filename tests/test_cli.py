@@ -1,12 +1,17 @@
+import argparse
 import contextlib
 import functools
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-
+import qftalg
 from qftalg import hopf, laws
-from qftalg.cli import main
+from qftalg.cli import build_parser, main
 from qftalg.hopf import Generator, Monomial, coproduct
 
 
@@ -420,9 +425,13 @@ class TestExitCodes:
         assert code == 2
         assert "bad expression" in err
 
-    def test_wightman_rejected_for_chronological(self):
-        for command in ("T", "t", "Tc", "tc"):
-            code, _, err = run_cli(command, "--expr", "phi(x)", "--mode", "wightman")
+    def test_wightman_rejected_for_chronological(self, tmp_path):
+        vertex = tmp_path / "vertex.json"
+        vertex.write_text(json.dumps(REPEATED_VERTEX))
+        cases = [(command,) for command in ("T", "t", "Tc", "tc")]
+        cases.append(("TR", "--vertex", str(vertex)))
+        for command in cases:
+            code, _, err = run_cli(*command, "--expr", "phi(x)", "--mode", "wightman")
             assert code == 2
             assert "feynman" in err
 
@@ -548,6 +557,22 @@ class TestExitCodes:
             '[{"kind": "D", "a": "x", "b": "z", "pow": 199999999999999999999998}]}]\n'
         )
 
+    def test_oversized_results_exit_2_from_the_module(self):
+        # a coefficient past Python's int-to-string limit (4300 digits)
+        # cannot be rendered; run through ``python -m qftalg`` so that the
+        # module entry point maps it to exit 2 and one stderr line too
+        nines = "9" * 4000
+        env = dict(os.environ, PYTHONPATH=str(Path(qftalg.__file__).parents[1]))
+        for argv in (["counit", "--expr", f"{nines}*{nines}"],
+                     ["t", "--expr", "phi^1700(x)*phi^1700(y)"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "qftalg", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout) == (2, ""), argv[0]
+            assert proc.stderr.startswith("error: "), argv[0]
+            assert proc.stderr.count("\n") == 1, argv[0]
+
     def test_bad_seed_environment(self, monkeypatch):
         monkeypatch.setenv("QFTALG_SEED", "abc")
         code, out, err = run_cli("check", "--law", "antipode", "--random-count", "1")
@@ -602,3 +627,48 @@ class TestCheckCommand:
         monkeypatch.setenv("QFTALG_SEED", "7")
         c = run_cli("check", "--law", "antipode", "--random-count", "5", "--seed", "99")
         assert c == a
+
+
+# The parser surface: every subcommand in order, and per option its
+# strings, choices, default and required flag.  Read from the actions,
+# since the layout of ``format_help()`` varies between Python versions.
+_OUTPUT = (("--output",), ("pretty", "json"), "pretty", False)
+_EXPR = (("--expr",), None, None, True)
+_MODE = (("--mode",), ("feynman", "wightman"), "feynman", False)
+PARSER_SURFACE = {
+    "delta": [_EXPR, _OUTPUT],
+    "delta-prime": [_EXPR, _OUTPUT],
+    "counit": [_EXPR, _OUTPUT],
+    "wick": [_MODE, (("--lhs",), None, None, True), (("--rhs",), None, None, True), _OUTPUT],
+    "T": [_EXPR, _OUTPUT, _MODE],
+    "t": [_EXPR, _OUTPUT, _MODE],
+    "Tc": [_EXPR, _OUTPUT, _MODE],
+    "tc": [_EXPR, _OUTPUT, _MODE],
+    "TR": [_EXPR, _OUTPUT, _MODE, (("--vertex",), None, None, True)],
+    "graphs": [
+        _EXPR,
+        (("--connected",), None, False, False),
+        (("--format",), ("dot", "json"), "dot", False),
+    ],
+    "check": [
+        (("--law",), ("coalgebra", "bialgebra", "comodule", "antipode", "all"), "all", False),
+        (("--seed",), None, 0, False),
+        (("--random-count",), None, 100, False),
+        _OUTPUT,
+    ],
+}
+
+
+def test_parser_surface():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [
+            (tuple(a.option_strings), tuple(a.choices) if a.choices else None, a.default,
+             a.required)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert list(surface.items()) == list(PARSER_SURFACE.items())

@@ -95,6 +95,17 @@ class TestParseErrors:
         assert err.value.offset == 12
         assert str(err.value) == "zero denominator at offset 12"
 
+    def test_oversized_integers_at_their_offsets(self):
+        # past Python's int-to-string limit (4300 digits), int() raises
+        # ValueError; each INT position reports a syntax error instead
+        digits = "9" * 5000
+        cases = {digits: 0, f"phi^{digits}(x)": 4, f"phi(x) + 1/{digits}": 11}
+        for text, offset in cases.items():
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(text)
+            assert err.value.offset == offset, text[:12]
+            assert str(err.value) == f"integer of 5000 digits is too long at offset {offset}"
+
 
 _points = st.sampled_from(["x1", "x2", "y", "z_3"])
 
