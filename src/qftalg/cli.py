@@ -189,9 +189,13 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         message = "input too deep to evaluate (recursion limit exceeded)"
     except ValueError as exc:
-        # such as a coefficient past Python's int-to-string limit, met
-        # while the result is rendered
         message = str(exc)
+        if "integer string conversion" in message:
+            # a result past Python's int-to-string limit; Python's own advice
+            # names a call, which a command-line user cannot make
+            limit = sys.get_int_max_str_digits()
+            message = (f"a number in the result is longer than Python's limit of {limit} digits;"
+                       " raise it with the PYTHONINTMAXSTRDIGITS environment variable (0 for none)")
     print(f"error: {message}", file=sys.stderr)
     return USAGE_ERROR
 

@@ -2,11 +2,13 @@
 
 The pairing on generators is diagonal in the field power:
 ``R(phi^m(x), phi^n(y)) = delta_{m,n} * n! * s(x,y)^n`` where ``s`` is the
-oriented symbol ``Dplus`` in operator mode and the symmetric symbol ``D``
-in chronological mode.  It extends to all monomials by the bicharacter
-laws, evaluated recursively through the contraction coproduct; since the
-algebra is commutative and cocommutative, all standard extension
-conventions coincide (tests recompute with the slot-swapped law).
+oriented symbol ``Dplus`` (from ``x`` to ``y``) in operator mode and the
+symmetric symbol ``D`` in chronological mode.  One generator against a
+monomial of total power ``n`` is then ``n! * prod s(x,y)^(m*mult)`` over
+its factors ``(phi^m(y), mult)``, and ``R(ab, c) = sum R(a, c') R(b, c'')``
+extends the pairing to all monomials; since the algebra is commutative
+and cocommutative, all standard extension conventions coincide (tests
+recompute with the slot-swapped law).
 
 The twisted product ``u o v = sum R(u', v') u'' v''`` deforms the normal
 product by propagator contractions; with the symmetric symbols it is
@@ -48,9 +50,16 @@ def r_generators(g: Generator, h: Generator, mode: RMode) -> PropPoly:
     ``n! * symbol(x, y)^n`` with orientation from ``g`` to ``h``."""
     if g.power != h.power:
         return PropPoly.zero()
-    n = g.power
-    sym = D(g.point, h.point) if mode is RMode.CHRONOLOGICAL else Dplus(g.point, h.point)
-    return PropPoly.symbol(sym, n, factorial(n))
+    return _r_generator(g, Monomial.of(h), mode)
+
+
+def _r_generator(g: Generator, v: Monomial, mode: RMode) -> PropPoly:
+    """``R(g, v) = n! * prod s(x, y)^(m*mult)`` for ``g = phi^n(x)`` and a
+    monomial ``v`` of total power ``n`` with factors ``(phi^m(y), mult)``."""
+    sym = D if mode is RMode.CHRONOLOGICAL else Dplus
+    return PropPoly.from_symbol_powers(
+        ((sym(g.point, h.point), h.power * mult) for h, mult in v.factors), factorial(g.power)
+    )
 
 
 # a dict: its key reads the mode as a bool (below); wickbench/tracer.py reads it
@@ -60,9 +69,10 @@ _R_CACHE: dict[tuple, PropPoly] = {}
 def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
     """Bicharacter extension of :func:`r_generators` to monomial pairs.
 
-    Uses ``R(ab, c) = sum R(a, c') R(b, c'')`` and
-    ``R(a, bc) = sum R(a', b) R(a'', c)`` down to generator pairs, with
-    ``R(1, v) = counit(v)`` and ``R(u, 1) = counit(u)``.
+    Peels the first generator ``g`` off ``u``:
+    ``R(g * rest, v) = sum R(g, v') R(rest, v'')`` over the splits of ``v``
+    whose ``v'`` has the power of ``g``, each ``R(g, v')`` in closed form;
+    ``R(1, v) = counit(v)``.
     """
     # power balance: the generator pairing is diagonal, so mismatched total
     # field powers can never contract completely (this covers a unit
@@ -76,26 +86,15 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
     cached = _R_CACHE.get(key)
     if cached is not None:
         return cached
-    if u.size > 1:
-        # R(g * rest, v) = sum R(g, v') R(rest, v'')
-        g, rest = u.split_first()
-        g = Monomial.of(g)
-        result = _poly_dot(
-            (c * first, r_bicharacter(rest, v2, mode))
-            for (v1, v2), c in monomial_coproduct(v)
-            if (first := r_bicharacter(g, v1, mode))
-        )
-    elif v.size > 1:
-        # R(u, h * rest) = sum R(u', h) R(u'', rest)
-        h, rest = v.split_first()
-        h = Monomial.of(h)
-        result = _poly_dot(
-            (c * first, r_bicharacter(u2, rest, mode))
-            for (u1, u2), c in monomial_coproduct(u)
-            if (first := r_bicharacter(u1, h, mode))
-        )
+    g, rest = u.split_first()
+    if rest.is_unit:
+        # closed form: a single generator never builds the coproduct of v
+        result = _r_generator(g, v, mode)
     else:
-        result = r_generators(u.occurrences()[0], v.occurrences()[0], mode)
+        result = _poly_dot(
+            (c * _r_generator(g, v1, mode), r_bicharacter(rest, v2, mode))
+            for v1, v2, c in _coproduct_by_power(v)[g.power]
+        )
     _R_CACHE[key] = result
     return result
 
@@ -187,6 +186,16 @@ def t_functional(u: Element | Monomial, mode: RMode = RMode.CHRONOLOGICAL) -> Pr
     return _poly_dot((coeff, t_monomial(mono)) for mono, coeff in u.terms.items())
 
 
+def _expansion(u: Element, split, scalar) -> Element:
+    """``sum scalar(u') u''`` over the ``((u', u''), c)`` pairs of
+    ``split(mono)``, for each monomial ``mono`` of ``u``."""
+    return Element._raw(_accumulate(
+        (right, coeff * scalar(left) * c)
+        for mono, coeff in u.terms.items()
+        for (left, right), c in split(mono)
+    ))
+
+
 def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Element:
     """Check ``T(u) = sum t(u') u''`` over the contraction coproduct.
 
@@ -196,11 +205,7 @@ def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Eleme
     if mode is not RMode.CHRONOLOGICAL:
         raise ModeError("the expansion identity lives in chronological mode")
     lhs = chronological(u)
-    rhs = Element._raw(_accumulate(
-        (right, coeff * t_monomial(left) * c)
-        for mono, coeff in u.terms.items()
-        for (left, right), c in monomial_coproduct(mono)
-    ))
+    rhs = _expansion(u, monomial_coproduct, t_monomial)
     if lhs != rhs:
         raise IdentityViolation(lhs, rhs, "T(u) != sum t(u')u''")
     return lhs

@@ -124,13 +124,20 @@ def enumerate_adjacency(d: DegreeSequence) -> list[AdjacencyTerm]:
     return out
 
 
+def _graphs(u: Monomial, connected_only: bool = False) -> list[AdjacencyTerm]:
+    """The graphs of ``u`` in enumeration order, only the connected ones if
+    asked; none for the unit, which has no vertex."""
+    if u.is_unit:
+        return []
+    terms = enumerate_adjacency(DegreeSequence.from_monomial(u))
+    return [t for t in terms if is_connected(t)] if connected_only else terms
+
+
 def t_via_graphs(u: Monomial) -> PropPoly:
     """The scalar functional summed over all Feynman graphs; t(1) = 1."""
     if u.is_unit:
         return PropPoly.one()
-    return _poly_sum(
-        term.scalar for term in enumerate_adjacency(DegreeSequence.from_monomial(u))
-    )
+    return _poly_sum(term.scalar for term in _graphs(u))
 
 
 def is_connected(m: AdjacencyTerm) -> bool:
@@ -150,13 +157,7 @@ def is_connected(m: AdjacencyTerm) -> bool:
 
 def t_connected_via_graphs(u: Monomial) -> PropPoly:
     """The scalar functional restricted to connected graphs; t_c(1) = 0."""
-    if u.is_unit:
-        return PropPoly.zero()
-    return _poly_sum(
-        term.scalar
-        for term in enumerate_adjacency(DegreeSequence.from_monomial(u))
-        if is_connected(term)
-    )
+    return _poly_sum(term.scalar for term in _graphs(u, connected_only=True))
 
 
 def _vertex_name(index: int, point: str, power: int) -> str:
@@ -173,58 +174,44 @@ def export_graphs(u: Monomial, connected_only: bool = False, format: str = "dot"
     fmt = format.lower()
     if fmt not in ("dot", "json"):
         raise UnsupportedFormat(f"unknown graph format: {format!r}")
-    if u.is_unit:
-        terms: list[AdjacencyTerm] = []
-        seq = None
-    else:
-        seq = DegreeSequence.from_monomial(u)
-        terms = enumerate_adjacency(seq)
-        if connected_only:
-            terms = [t for t in terms if is_connected(t)]
+    occ = u.occurrences()
+    # (term, edges): each edge is (i, j, mult, same point) with i < j
+    graphs = [
+        (term, [
+            (i, j, term.matrix[i][j], occ[i].point == occ[j].point)
+            for i in range(len(occ))
+            for j in range(i + 1, len(occ))
+            if term.matrix[i][j]
+        ])
+        for term in _graphs(u, connected_only)
+    ]
 
     if fmt == "json":
-        records = []
-        for term in terms:
-            vertices = [
-                {"index": i + 1, "point": seq.points[i], "power": seq.degrees[i]}
-                for i in range(len(seq.points))
-            ]
-            edges = []
-            for i in range(len(seq.points)):
-                for j in range(i + 1, len(seq.points)):
-                    mult = term.matrix[i][j]
-                    if not mult:
-                        continue
-                    edge = {"i": i + 1, "j": j + 1, "mult": mult}
-                    if seq.points[i] == seq.points[j]:
-                        edge["self_point"] = True
-                    edges.append(edge)
-            records.append(
-                {
-                    "vertices": vertices,
-                    "edges": edges,
-                    "weight": frac_str(term.weight),
-                    "connected": is_connected(term),
-                }
-            )
+        vertices = [
+            {"index": i, "point": g.point, "power": g.power} for i, g in enumerate(occ, 1)
+        ]
+        records = [
+            {
+                "vertices": vertices,
+                "edges": [
+                    {"i": i + 1, "j": j + 1, "mult": mult, **({"self_point": True} if same else {})}
+                    for i, j, mult, same in edges
+                ],
+                "weight": frac_str(term.weight),
+                "connected": is_connected(term),
+            }
+            for term, edges in graphs
+        ]
         return json.dumps({"graphs": records, "expansion": VERTEX_EXPANSION})
 
+    names = [_vertex_name(i, g.point, g.power) for i, g in enumerate(occ, 1)]
     blocks = []
-    for k, term in enumerate(terms):
-        names = [
-            _vertex_name(i + 1, seq.points[i], seq.degrees[i])
-            for i in range(len(seq.points))
-        ]
-        lines = [f"graph G_{k} {{"]
-        lines.append(f'  label="weight {frac_str(term.weight)}";')
-        for name in names:
-            lines.append(f'  "{name}";')
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                mult = term.matrix[i][j]
-                flag = " [style=dashed]" if seq.points[i] == seq.points[j] else ""
-                for _ in range(mult):
-                    lines.append(f'  "{names[i]}" -- "{names[j]}"{flag};')
+    for k, (term, edges) in enumerate(graphs):
+        lines = [f"graph G_{k} {{", f'  label="weight {frac_str(term.weight)}";']
+        lines += [f'  "{name}";' for name in names]
+        for i, j, mult, same in edges:
+            flag = " [style=dashed]" if same else ""
+            lines += [f'  "{names[i]}" -- "{names[j]}"{flag};'] * mult
         lines.append("}")
         blocks.append("\n".join(lines))
     return "\n".join(blocks)

@@ -40,7 +40,7 @@ from math import factorial
 from operator import mul
 from typing import Mapping
 
-from .coqts import chronological, t_monomial
+from .coqts import _expansion, chronological, t_monomial
 from .errors import IdentityViolation
 from .hopf import (
     Element,
@@ -255,11 +255,7 @@ def comodule_expansion_check(u: Element, strict: bool = True) -> Element:
     """
     u = kernel_project(u, strict)
     lhs = connected_T(u)
-    rhs = Element._raw(_accumulate(
-        (right, coeff * _t_c_word(word) * c)
-        for mono, coeff in u.terms.items()
-        for (word, right), c in monomial_coaction(mono)
-    ))
+    rhs = _expansion(u, monomial_coaction, _t_c_word)
     if lhs == rhs:
         return lhs
     if strict:

@@ -562,9 +562,11 @@ class TestExitCodes:
         # cannot be rendered; run through ``python -m qftalg`` so that the
         # module entry point maps it to exit 2 and one stderr line too
         nines = "9" * 4000
-        env = dict(os.environ, PYTHONPATH=str(Path(qftalg.__file__).parents[1]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        env["PYTHONPATH"] = str(Path(qftalg.__file__).parents[1])
         for argv in (["counit", "--expr", f"{nines}*{nines}"],
-                     ["t", "--expr", "phi^1700(x)*phi^1700(y)"]):
+                     ["t", "--expr", "phi^1700(x)*phi^1700(y)"],
+                     ["graphs", "--expr", "phi^1700(x)*phi^1700(y)"]):
             proc = subprocess.run(
                 [sys.executable, "-m", "qftalg", *argv],
                 capture_output=True, text=True, env=env, timeout=120,
@@ -572,6 +574,8 @@ class TestExitCodes:
             assert (proc.returncode, proc.stdout) == (2, ""), argv[0]
             assert proc.stderr.startswith("error: "), argv[0]
             assert proc.stderr.count("\n") == 1, argv[0]
+            assert "PYTHONINTMAXSTRDIGITS" in proc.stderr, argv[0]
+            assert "sys.set_int_max_str_digits" not in proc.stderr, argv[0]
 
     def test_bad_seed_environment(self, monkeypatch):
         monkeypatch.setenv("QFTALG_SEED", "abc")

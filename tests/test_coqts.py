@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qftalg import coqts
 from qftalg.coqts import (
     RMode,
     chronological,
@@ -15,6 +16,7 @@ from qftalg.coqts import (
 )
 from qftalg.errors import ModeError
 from qftalg.hopf import Element, Generator, Monomial
+from qftalg.laws import exhaustive_monomials
 from qftalg.scalar import D, Dplus, PropPoly, poly_eval
 
 from oracles import bicharacter_contingency, bicharacter_swapped, mono, phi, twisted_tables
@@ -82,8 +84,22 @@ class TestRBicharacter:
             (mono(("x", 1), ("x", 1)), mono(("y", 2))),
             (mono(("x", 3), ("y", 2)), mono(("z", 2), ("w", 3))),
         ]
+        monos = [m for e in exhaustive_monomials(max_generators=2) for m in e.terms]
+        cases += [(u, v) for u in monos for v in monos if u.total_power == v.total_power]
         for u, v in cases:
             assert r_bicharacter(u, v, mode) == bicharacter_contingency(u, v, mode)
+
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_one_generator_builds_no_coproduct(self, mode):
+        # a single generator is paired in closed form: through the coproduct
+        # of v instead, t of phi^1700(x)*phi^1700(y) built the coproduct of
+        # every phi^k(y) and took tens of seconds
+        before = coqts._coproduct_by_power.cache_info()
+        g = mono(("x40", 40))
+        assert r_bicharacter(g, mono(("y40", 40)), mode)
+        assert r_bicharacter(g, mono(("y40", 20), ("z40", 20)), mode)
+        after = coqts._coproduct_by_power.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
     def test_convention_independence(self, mode):
