@@ -44,10 +44,10 @@ def _mode_from_args(args) -> RMode:
     return RMode.CHRONOLOGICAL if args.mode == "feynman" else RMode.OPERATOR
 
 
-def _kernel_lenient(expr):
-    """CLI policy: project into the counit kernel, warning when it matters."""
-    eps = expr.counit()
-    if eps:
+def _warn_off_kernel(expr):
+    """Return ``expr`` unchanged, warning on stderr when its counit is
+    nonzero; the command's ``strict=False`` call does the projection."""
+    if expr.counit():
         print(
             "warning: expression has nonzero counit; projecting onto the counit kernel",
             file=sys.stderr,
@@ -158,12 +158,12 @@ def _run(args) -> int:
     elif args.command == "t":
         _emit(t_functional(parse(args.expr)), args.output)
     elif args.command == "Tc":
-        _emit(connected_T(_kernel_lenient(parse(args.expr)), strict=False), args.output)
+        _emit(connected_T(_warn_off_kernel(parse(args.expr)), strict=False), args.output)
     elif args.command == "tc":
-        _emit(t_c_functional(_kernel_lenient(parse(args.expr)), strict=False), args.output)
+        _emit(t_c_functional(_warn_off_kernel(parse(args.expr)), strict=False), args.output)
     elif args.command == "TR":
         vertex = _read_vertex(args.vertex)
-        expr = _kernel_lenient(parse(args.expr))
+        expr = _warn_off_kernel(parse(args.expr))
         _emit(renormalized_T(expr, vertex, strict=False), args.output)
     elif args.command == "graphs":
         terms = parse(args.expr).sorted_terms()

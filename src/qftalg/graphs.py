@@ -8,19 +8,23 @@ product equals
     integers with zero diagonal and row sums n_i of
     prod_{i<j} D(x_i, x_j)^{m_ij} / m_ij!
 
-Each admissible matrix is the adjacency matrix of a labeled multigraph.
-Restricting the sum to connected graphs yields the connected functional.
-This module is the independent combinatorial route; the algebraic route is
-``counit o chronological`` in :mod:`qftalg.coqts`, and the two must agree
-exactly.
+Each admissible matrix is the adjacency matrix of a labeled multigraph,
+and its weight ``n_1!...n_p! / prod m_ij!`` is an integer.  Restricting the
+sum to connected graphs yields the connected functional.
+
+For ``t`` this module is the independent combinatorial route, checked
+against the algebraic route ``counit o chronological`` in
+:mod:`qftalg.coqts`.  For ``t_c`` it is the only route:
+:func:`qftalg.renorm.t_c_functional` sums the connected graphs, checked
+against the counit of the set-partition sum
+:func:`qftalg.renorm.connected_T`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import UnsupportedFormat
 from .hopf import Monomial
@@ -53,11 +57,11 @@ class DegreeSequence:
 
 @dataclass(frozen=True)
 class AdjacencyTerm:
-    """One Feynman graph: its adjacency matrix, rational weight
+    """One Feynman graph: its adjacency matrix, integer weight
     ``n_1!...n_p! / prod m_ij!`` and scalar ``weight * prod D^{m_ij}``."""
 
     matrix: tuple[tuple[int, ...], ...]
-    weight: Fraction
+    weight: int
     scalar: PropPoly
 
 
@@ -74,29 +78,22 @@ def enumerate_adjacency(d: DegreeSequence) -> list[AdjacencyTerm]:
         return []
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
     residual = list(d.degrees)
-    entries: dict[tuple[int, int], int] = {}
+    matrix = [[0] * p for _ in range(p)]
+    numerator = prod(map(factorial, d.degrees))
     out: list[AdjacencyTerm] = []
 
     def emit():
         if any(residual):
             return
-        matrix = [[0] * p for _ in range(p)]
-        for (i, j), v in entries.items():
-            matrix[i][j] = v
-            matrix[j][i] = v
         rows = tuple(tuple(r) for r in matrix)
         # enumeration invariants: symmetry, zero diagonal, exact margins
         assert all(rows[i][i] == 0 for i in range(p))
         assert all(rows[i][j] == rows[j][i] for i in range(p) for j in range(p))
         assert all(sum(rows[i]) == d.degrees[i] for i in range(p))
-        weight = Fraction(1)
-        for n in d.degrees:
-            weight *= factorial(n)
-        for v in entries.values():
-            weight /= factorial(v)
+        edges = [(i, j, rows[i][j]) for i, j in pairs if rows[i][j]]
+        weight = numerator // prod(factorial(v) for _, _, v in edges)
         scalar = PropPoly.from_symbol_powers(
-            ((D(d.points[i], d.points[j]), v) for (i, j), v in entries.items()),
-            weight,
+            ((D(d.points[i], d.points[j]), v) for i, j, v in edges), weight
         )
         out.append(AdjacencyTerm(rows, weight, scalar))
 
@@ -110,15 +107,13 @@ def enumerate_adjacency(d: DegreeSequence) -> list[AdjacencyTerm]:
         lo = max(0, residual[i] - cap)
         hi = min(residual[i], residual[j])
         for v in range(lo, hi + 1):
-            if v:
-                residual[i] -= v
-                residual[j] -= v
-                entries[(i, j)] = v
+            residual[i] -= v
+            residual[j] -= v
+            matrix[i][j] = matrix[j][i] = v
             rec(idx + 1)
-            if v:
-                residual[i] += v
-                residual[j] += v
-                del entries[(i, j)]
+            residual[i] += v
+            residual[j] += v
+        matrix[i][j] = matrix[j][i] = 0
 
     rec(0)
     return out

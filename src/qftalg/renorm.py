@@ -15,9 +15,10 @@ foundations of combinatorial theory I", 1964); ``T_R`` is ``T`` after the
 exponential of ``O``.  The same sums arise from the ordered iterates of
 the reduced partition coproduct, with weights ``(-1)^(n+1)/n`` and
 ``1/n!``: each k-block partition appears there once per ordering of its
-blocks.  Products between the ``T(...)`` factors are normal products, and
-since the counit is multiplicative for them, ``t_c(m)`` is the same sum
-over the scalars ``t(m_B)``; ``functools.cache`` keeps it per monomial.
+blocks.  Products between the ``T(...)`` factors are normal products.
+The scalar part ``t_c(m)`` has one route, the sum over the connected
+Feynman graphs of ``m`` (:func:`~qftalg.graphs.t_connected_via_graphs`);
+the counit of ``T_c`` is its independent check.
 
 Conventions: ``t(1) = 1`` and ``t_c(1) = 0``, the unit of S(C) being the
 empty vertex word.  The connected expansion ``T_c(u) = sum t_c(u')u''``
@@ -40,8 +41,9 @@ from math import factorial
 from operator import mul
 from typing import Mapping
 
-from .coqts import _expansion, chronological, t_monomial
+from .coqts import _expansion, chronological
 from .errors import IdentityViolation
+from .graphs import t_connected_via_graphs
 from .hopf import (
     Element,
     Generator,
@@ -210,33 +212,23 @@ def connected_T(u: Element, strict: bool = True) -> Element:
     )
 
 
-@cache
-def _t_c_monomial(mono: Monomial) -> PropPoly:
-    """Connected scalar functional on a basis monomial; t_c(1) = 0.  The
-    counit is multiplicative for the normal product, so this is the
-    partition sum of ``T_c`` over the scalars ``t(m_B)``."""
-    if mono.is_unit:
-        return PropPoly.zero()
-    return _poly_sum(
-        n * _mobius(len(blocks)) * reduce(mul, map(t_monomial, blocks))
-        for blocks, n in _partitions(mono).items()
-    )
-
-
 def t_c_functional(u: Element | Monomial, strict: bool = True) -> PropPoly:
-    """Vacuum expectation of the connected product, extended linearly."""
+    """Vacuum expectation of the connected product, extended linearly: the
+    connected-graph sum on each monomial."""
     if isinstance(u, Monomial):
-        return _t_c_monomial(u)
+        return t_connected_via_graphs(u)
     u = kernel_project(u, strict)
-    return _poly_sum(coeff * _t_c_monomial(mono) for mono, coeff in u.terms.items())
+    return _poly_sum(coeff * t_connected_via_graphs(mono) for mono, coeff in u.terms.items())
 
 
+@cache
 def _t_c_word(word: VertexWord) -> PropPoly:
     """Connected scalar functional on a vertex word: ``t_c`` of the monomial
     without emptied vertices, ``1`` on the one-vertex word ``[1]``, and 0
-    on every other word holding an emptied vertex."""
+    on every other word holding an emptied vertex.  Cached: the connected
+    expansion reads the same sub-monomials many times."""
     if not word.emptied:
-        return _t_c_monomial(word.vertices)
+        return t_connected_via_graphs(word.vertices)
     if word.emptied == 1 and word.vertices.is_unit:
         return PropPoly.one()
     return PropPoly.zero()

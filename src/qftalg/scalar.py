@@ -84,8 +84,9 @@ def _rational(value) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-def frac_str(q: Fraction) -> str:
-    """Render a rational as ``"p/q"`` with the denominator always present."""
+def frac_str(q: Fraction | int) -> str:
+    """Render a rational as ``"p/q"`` with the denominator always present,
+    so an ``int`` ``p`` reads ``"p/1"``."""
     return f"{q.numerator}/{q.denominator}"
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from qftalg.graphs import (
 )
 from qftalg.hopf import Element, Monomial
 from qftalg.coqts import t_functional
+from qftalg.laws import exhaustive_monomials
 from qftalg.renorm import connected_T
 from qftalg.scalar import D, PropPoly
 
@@ -64,6 +66,16 @@ class TestEnumeration:
         for term in enumerate_adjacency(seq):
             for i, degree in enumerate(seq.degrees):
                 assert sum(term.matrix[i]) == degree
+
+    def test_weights_are_integers(self):
+        # n_1!...n_p! / prod_{i<j} m_ij!, recomputed from each matrix
+        for u in exhaustive_monomials(4, 3, include_unit=False):
+            seq = DegreeSequence.from_monomial(u.sorted_terms()[0][0])
+            numerator = math.prod(map(math.factorial, seq.degrees))
+            for term in enumerate_adjacency(seq):
+                upper = [v for i, row in enumerate(term.matrix) for v in row[i + 1:]]
+                assert type(term.weight) is int, term
+                assert term.weight * math.prod(map(math.factorial, upper)) == numerator
 
 
 class TestTViaGraphs:

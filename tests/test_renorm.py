@@ -125,12 +125,12 @@ class TestTcFunctional:
         )
         assert t_c_functional(u) == expected
 
-    def test_agrees_with_connected_graphs(self):
+    def test_agrees_with_connected_product(self):
         gens = [("x", 1), ("x", 2), ("y", 2), ("z", 1)]
         for size in range(1, 4):
             for combo in itertools.combinations_with_replacement(gens, size):
-                m = mono(*combo)
-                assert t_c_functional(Element.from_monomial(m)) == t_connected_via_graphs(m)
+                u = Element.from_monomial(mono(*combo))
+                assert t_c_functional(u) == connected_T(u).counit()
 
 
 class TestComoduleExpansion:
