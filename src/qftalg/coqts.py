@@ -14,11 +14,11 @@ The twisted product ``u o v = sum R(u', v') u'' v''`` deforms the normal
 product by propagator contractions; with the symmetric symbols it is
 commutative and fold-generates the chronological product.  It extends
 bilinearly from basis monomials, pairing only equal-power parts of their
-coproducts.  The twisted product and the bicharacter sum their
-coefficients through the ring's multiply-accumulate
-(``scalar._poly_dots``), grouped by output monomial, so no polynomial is
-built per split pair and this module never reads how a
-:class:`~qftalg.scalar.PropPoly` stores its terms.
+coproducts.  The twisted product, the bicharacter and the expansions
+``sum scalar(u')u''`` sum their coefficients through the ring's
+multiply-accumulate (``scalar._poly_dots``), grouped by output monomial,
+so no polynomial is built per split pair and this module never reads how
+a :class:`~qftalg.scalar.PropPoly` stores its terms.
 
 Bicharacter values of monomial pairs are memoised in a dict, ``_R_CACHE``;
 the power-grouped coproduct and the chronological product of a basis
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .errors import IdentityViolation, ModeError
 from .hopf import Element, Generator, Monomial, _linear_sum, monomial_coproduct
-from .scalar import D, Dplus, PropPoly, _accumulate, _poly_dot, _poly_dots
+from .scalar import D, Dplus, PropPoly, _poly_dot, _poly_dots
 
 
 class RMode(enum.Enum):
@@ -188,12 +188,24 @@ def t_functional(u: Element | Monomial, mode: RMode = RMode.CHRONOLOGICAL) -> Pr
 
 def _expansion(u: Element, split, scalar) -> Element:
     """``sum scalar(u') u''`` over the ``((u', u''), c)`` pairs of
-    ``split(mono)``, for each monomial ``mono`` of ``u``."""
-    return Element._raw(_accumulate(
-        (right, coeff * scalar(left) * c)
+    ``split(mono)``, for each monomial ``mono`` of ``u``: one
+    multiply-accumulate per monomial, scaled by its coefficient."""
+    return _linear_sum(
+        (coeff, Element._raw(_poly_dots(
+            (right, c, scalar(left)) for (left, right), c in split(mono)
+        )))
         for mono, coeff in u.terms.items()
-        for (left, right), c in split(mono)
-    ))
+    )
+
+
+def _expansion_identity(lhs: Element, u: Element, split, scalar, law: str) -> Element:
+    """The one comparison behind the expansion identities: ``lhs`` if it
+    equals ``sum scalar(u') u''`` over ``split``, else
+    :class:`IdentityViolation` with both sides (an implementation bug)."""
+    rhs = _expansion(u, split, scalar)
+    if lhs != rhs:
+        raise IdentityViolation(lhs, rhs, law)
+    return lhs
 
 
 def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Element:
@@ -204,8 +216,6 @@ def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Eleme
     """
     if mode is not RMode.CHRONOLOGICAL:
         raise ModeError("the expansion identity lives in chronological mode")
-    lhs = chronological(u)
-    rhs = _expansion(u, monomial_coproduct, t_monomial)
-    if lhs != rhs:
-        raise IdentityViolation(lhs, rhs, "T(u) != sum t(u')u''")
-    return lhs
+    return _expansion_identity(
+        chronological(u), u, monomial_coproduct, t_monomial, "T(u) != sum t(u')u''"
+    )

@@ -1,9 +1,12 @@
 """Executable checkers for the structural identities of the algebra.
 
-Each checker walks a finite element family (exhaustive small monomials over
-a three-point alphabet plus seeded random linear combinations) and records
-every violation it finds into a :class:`LawReport`; an empty failure list
-is a pass.  Reports are deterministic for a fixed seed.
+A law is its named sides plus one loop.  Each checker is a ``sides``
+generator that yields ``(label, lhs, rhs)`` for one instance, lazily, and
+one call of :func:`_report`, the loop that walks a finite element family
+(exhaustive small monomials over a three-point alphabet plus seeded random
+linear combinations), counts each instance and records every pair of
+sides that differ into a :class:`LawReport`; an empty failure list is a
+pass.  Reports are deterministic for a fixed seed.
 
 The ``coproduct_fn`` hooks exist for mutation testing only: passing a
 deliberately corrupted coproduct must make the checkers fail, guarding
@@ -151,6 +154,22 @@ _COPRODUCTS: dict[str, Callable[[Element], Tensor]] = {
 }
 
 
+def _report(law: str, instances, sides) -> LawReport:
+    """The one law loop: count each tuple of inputs in ``instances`` (the
+    1-tuples of ``zip(members)`` or the pairs of ``itertools.product``) and
+    record, in yield order, every ``(label, lhs, rhs)`` that
+    ``sides(*inputs)`` yields with ``lhs != rhs``."""
+    report = LawReport(law)
+    for inputs in instances:
+        report.checked += 1
+        report.failures.extend(
+            LawFailure(label, inputs, lhs, rhs)
+            for label, lhs, rhs in sides(*inputs)
+            if lhs != rhs
+        )
+    return report
+
+
 def check_coalgebra(
     which: str,
     family: ElementFamily,
@@ -165,27 +184,14 @@ def check_coalgebra(
     def expand(mono: Monomial):
         return split(Element.from_monomial(mono)).terms.items()
 
-    report = LawReport(f"coalgebra({which})")
-    for u in family.members:
-        report.checked += 1
+    def sides(u):
         two = split(u)
-        left = two.apply_to_slot(0, expand)
-        right = two.apply_to_slot(1, expand)
-        if left != right:
-            report.failures.append(LawFailure("coassociativity", (u,), left, right))
-        if two.counit_slot(0).element() != u:
-            report.failures.append(
-                LawFailure("left counit law", (u,), two.counit_slot(0).element(), u)
-            )
-        if two.counit_slot(1).element() != u:
-            report.failures.append(
-                LawFailure("right counit law", (u,), two.counit_slot(1).element(), u)
-            )
-        if two.swap(0, 1) != two:
-            report.failures.append(
-                LawFailure("cocommutativity", (u,), two.swap(0, 1), two)
-            )
-    return report
+        yield "coassociativity", two.apply_to_slot(0, expand), two.apply_to_slot(1, expand)
+        yield "left counit law", two.counit_slot(0).element(), u
+        yield "right counit law", two.counit_slot(1).element(), u
+        yield "cocommutativity", two.swap(0, 1), two
+
+    return _report(f"coalgebra({which})", zip(family.members), sides)
 
 
 def check_bialgebra(
@@ -194,20 +200,13 @@ def check_bialgebra(
 ) -> LawReport:
     """Both algebra-morphism laws on every ordered pair from the family."""
     split = coproduct_fn if coproduct_fn is not None else coproduct
-    report = LawReport("bialgebra")
-    for u in family.members:
-        for v in family.members:
-            report.checked += 1
-            product = u * v
-            lhs = split(product)
-            rhs = split(u).pairwise_product(split(v))
-            if lhs != rhs:
-                report.failures.append(LawFailure("coproduct morphism", (u, v), lhs, rhs))
-            eps_lhs = product.counit()
-            eps_rhs = u.counit() * v.counit()
-            if eps_lhs != eps_rhs:
-                report.failures.append(LawFailure("counit morphism", (u, v), eps_lhs, eps_rhs))
-    return report
+
+    def sides(u, v):
+        product = u * v
+        yield "coproduct morphism", split(product), split(u).pairwise_product(split(v))
+        yield "counit morphism", product.counit(), u.counit() * v.counit()
+
+    return _report("bialgebra", itertools.product(family.members, repeat=2), sides)
 
 
 def check_comodule_coalgebra(
@@ -237,20 +236,18 @@ def check_comodule_coalgebra(
             return word_coproduct_prime(word)
         return monomial_coproduct_prime(word)
 
-    report = LawReport("comodule-coalgebra")
-    for u in family.members:
-        report.checked += 1
-        lhs = beta(u).apply_to_slot(0, split_left)
-        rhs = (
+    def sides(u):
+        yield (
+            "comodule compatibility",
+            beta(u).apply_to_slot(0, split_left),
             coproduct_prime(u)
             .apply_to_slot(0, expand_beta)
             .apply_to_slot(2, expand_beta)
             .swap(1, 2)
-            .merge_slots(2, 3)
+            .merge_slots(2, 3),
         )
-        if lhs != rhs:
-            report.failures.append(LawFailure("comodule compatibility", (u,), lhs, rhs))
-    return report
+
+    return _report("comodule-coalgebra", zip(family.members), sides)
 
 
 def check_antipode(
@@ -259,21 +256,17 @@ def check_antipode(
 ) -> LawReport:
     """The Hopf axiom ``mul(S (x) Id)Delta u = counit(u) 1 = mul(Id (x) S)Delta u``."""
     split = coproduct_fn if coproduct_fn is not None else coproduct
-    report = LawReport("antipode")
-    for u in family.members:
-        report.checked += 1
+
+    def sides(u):
         expected = Element.scalar(u.counit())
         pairs = [
             (coeff, Element.from_monomial(a), Element.from_monomial(b))
             for (a, b), coeff in split(u).terms.items()
         ]
-        left = _linear_sum((coeff, antipode(a) * b) for coeff, a, b in pairs)
-        right = _linear_sum((coeff, a * antipode(b)) for coeff, a, b in pairs)
-        if left != expected:
-            report.failures.append(LawFailure("antipode (S x Id)", (u,), left, expected))
-        if right != expected:
-            report.failures.append(LawFailure("antipode (Id x S)", (u,), right, expected))
-    return report
+        yield "antipode (S x Id)", _linear_sum((c, antipode(a) * b) for c, a, b in pairs), expected
+        yield "antipode (Id x S)", _linear_sum((c, a * antipode(b)) for c, a, b in pairs), expected
+
+    return _report("antipode", zip(family.members), sides)
 
 
 def mutated_coproduct(u: Element) -> Tensor:

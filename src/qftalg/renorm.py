@@ -35,14 +35,12 @@ checks the expansion on every element of the counit kernel.
 from __future__ import annotations
 
 import json
-import warnings
 from functools import cache, reduce
 from math import factorial
 from operator import mul
 from typing import Mapping
 
-from .coqts import _expansion, chronological
-from .errors import IdentityViolation
+from .coqts import _expansion_identity, chronological
 from .graphs import t_connected_via_graphs
 from .hopf import (
     Element,
@@ -55,7 +53,7 @@ from .hopf import (
     Tensor,
     VertexWord,
 )
-from .scalar import PropPoly, _accumulate, _poly_sum, parse_frac
+from .scalar import PropPoly, _accumulate, _poly_dot, parse_frac
 
 
 class Vertex:
@@ -218,7 +216,7 @@ def t_c_functional(u: Element | Monomial, strict: bool = True) -> PropPoly:
     if isinstance(u, Monomial):
         return t_connected_via_graphs(u)
     u = kernel_project(u, strict)
-    return _poly_sum(coeff * t_connected_via_graphs(mono) for mono, coeff in u.terms.items())
+    return _poly_dot((coeff, t_connected_via_graphs(mono)) for mono, coeff in u.terms.items())
 
 
 @cache
@@ -237,26 +235,18 @@ def _t_c_word(word: VertexWord) -> PropPoly:
 def comodule_expansion_check(u: Element, strict: bool = True) -> Element:
     """Check ``T_c(u) = sum t_c(u') u''`` over the coaction on vertex words.
 
-    Returns the common value when the identity holds.  On a mismatch,
-    strict mode raises :class:`IdentityViolation` with both sides; lenient
-    mode warns and returns the ``connected_T`` value, which is the ground
-    truth.  The identity holds on the whole counit kernel; a mismatch
-    means a coaction or a ``t_c`` that is wrong, such as one that reads
-    ``u'`` as a Wick monomial and so drops emptied vertices (see the
+    ``strict`` only chooses how ``u`` reaches the counit kernel, as in
+    :func:`connected_T`.  Returns the common value when the identity
+    holds; any mismatch raises :class:`~qftalg.errors.IdentityViolation`
+    with both sides.  The identity holds on the whole counit kernel; a
+    mismatch means a coaction or a ``t_c`` that is wrong, such as one that
+    reads ``u'`` as a Wick monomial and so drops emptied vertices (see the
     module docstring).
     """
     u = kernel_project(u, strict)
-    lhs = connected_T(u)
-    rhs = _expansion(u, monomial_coaction, _t_c_word)
-    if lhs == rhs:
-        return lhs
-    if strict:
-        raise IdentityViolation(lhs, rhs, "T_c(u) != sum t_c(u')u''")
-    warnings.warn(
-        f"connected expansion mismatch: T_c = {lhs} but expansion = {rhs}",
-        stacklevel=2,
+    return _expansion_identity(
+        connected_T(u), u, monomial_coaction, _t_c_word, "T_c(u) != sum t_c(u')u''"
     )
-    return lhs
 
 
 def renormalized_T(u: Element, vertex: Vertex, strict: bool = True) -> Element:

@@ -3,6 +3,7 @@ rather than asserted: the package namespace, the functions and classes
 each module defines, and the public attributes of the core classes."""
 
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -98,6 +99,15 @@ def test_proppoly_representation_is_private():
         text = path.read_text(encoding="utf-8")
         for name in private:
             assert name not in text, f"{path.name} names {name}"
+
+
+def test_identity_violation_is_raised_in_one_place():
+    # every identity check compares through coqts._expansion_identity, so
+    # that is the one place an IdentityViolation is built
+    built = re.compile(r"(?<!class )\bIdentityViolation\(")
+    for path in sorted(Path(qftalg.__file__).parent.glob("*.py")):
+        found = len(built.findall(path.read_text(encoding="utf-8")))
+        assert found == (1 if path.name == "coqts.py" else 0), path.name
 
 
 

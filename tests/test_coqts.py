@@ -14,7 +14,7 @@ from qftalg.coqts import (
     t_functional,
     twisted_product,
 )
-from qftalg.errors import ModeError
+from qftalg.errors import IdentityViolation, ModeError
 from qftalg.hopf import Element, Generator, Monomial
 from qftalg.laws import exhaustive_monomials
 from qftalg.scalar import D, Dplus, PropPoly, poly_eval
@@ -292,3 +292,16 @@ class TestExpansionIdentity:
         for size in range(1, 4):
             for combo in itertools.combinations_with_replacement(gens, size):
                 t_expansion_identity(Element.from_monomial(mono(*combo)))
+
+    def test_raises_on_a_t_that_drops_a_term(self, monkeypatch):
+        # a t that loses the first term of every value breaks the right side
+        exact = coqts.t_monomial
+
+        def dropping_t(m):
+            return PropPoly(dict(exact(m).sorted_terms()[1:]))
+
+        u = phi("x1", 2) * phi("x2", 2)
+        monkeypatch.setattr(coqts, "t_monomial", dropping_t)
+        with pytest.raises(IdentityViolation) as err:
+            t_expansion_identity(u)
+        assert err.value.lhs == chronological(u)

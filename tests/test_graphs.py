@@ -141,8 +141,9 @@ class TestConnectedFunctional:
         assert t_connected_via_graphs(UNIT) == PropPoly.zero()
 
     def test_matches_connected_product_route_small(self):
+        # four occurrences are the first with disconnected graphs
         gens = [("x", 1), ("x", 2), ("y", 2), ("z", 1)]
-        for size in range(1, 4):
+        for size in range(1, 5):
             for combo in itertools.combinations_with_replacement(gens, size):
                 m = mono(*combo)
                 algebraic = connected_T(Element.from_monomial(m)).counit()

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from qftalg.coqts import chronological
+from qftalg.coqts import chronological, t_expansion_identity
 from qftalg.errors import IdentityViolation, NotInKernel
 from qftalg.graphs import t_connected_via_graphs
 from qftalg import renorm
@@ -18,6 +18,7 @@ from qftalg.hopf import (
     monomial_coproduct,
     reduced_prime_iter,
 )
+from qftalg.laws import random_elements
 from qftalg.renorm import (
     Vertex,
     comodule_expansion_check,
@@ -126,8 +127,9 @@ class TestTcFunctional:
         assert t_c_functional(u) == expected
 
     def test_agrees_with_connected_product(self):
+        # four occurrences are the first with disconnected graphs
         gens = [("x", 1), ("x", 2), ("y", 2), ("z", 1)]
-        for size in range(1, 4):
+        for size in range(1, 5):
             for combo in itertools.combinations_with_replacement(gens, size):
                 u = Element.from_monomial(mono(*combo))
                 assert t_c_functional(u) == connected_T(u).counit()
@@ -150,8 +152,8 @@ class TestComoduleExpansion:
 
     def test_single_generator_known_discrepancy(self, monkeypatch):
         # T_c(phi) = phi, and the coaction keeps the emptied vertex [1] with
-        # t_c([1]) = 1.  A coaction that drops it gives 0: strict raises,
-        # report-only mode warns and returns the connected product.
+        # t_c([1]) = 1.  A coaction that drops it gives 0, which raises
+        # whatever ``strict`` is: ``strict`` only chooses the projection.
         u = phi("x")
         assert comodule_expansion_check(u) == connected_T(u) == u
         monkeypatch.setattr(renorm, "monomial_coaction", dropping_coaction)
@@ -159,8 +161,8 @@ class TestComoduleExpansion:
             comodule_expansion_check(u)
         assert err.value.lhs == u
         assert not err.value.rhs
-        with pytest.warns(UserWarning):
-            assert comodule_expansion_check(u, strict=False) == u
+        with pytest.raises(IdentityViolation):
+            comodule_expansion_check(u, strict=False)
 
     def test_three_generators_known_discrepancy(self, monkeypatch):
         # With three occurrences a coaction that drops emptied vertices picks
@@ -181,8 +183,15 @@ class TestComoduleExpansion:
         with pytest.raises(IdentityViolation) as err:
             comodule_expansion_check(v)
         assert err.value.lhs == connected_T(v)
-        with pytest.warns(UserWarning):
-            assert comodule_expansion_check(v, strict=False) == connected_T(v)
+        with pytest.raises(IdentityViolation):
+            comodule_expansion_check(v, strict=False)
+
+    def test_both_expansions_on_rational_coefficients(self):
+        # seeded sums of up to three monomials with coefficients other than
+        # 1, some with a scalar part that strict=False projects away
+        for u in random_elements(3, 40):
+            t_expansion_identity(u)
+            comodule_expansion_check(u, strict=False)
 
     def test_scalar_shadow_exact_even_where_element_level_breaks(self):
         # counit(T_c) always agrees with the connected-graph sum, including
