@@ -15,10 +15,11 @@ product by propagator contractions; with the symmetric symbols it is
 commutative and fold-generates the chronological product.  It extends
 bilinearly from basis monomials, pairing only equal-power parts of their
 coproducts.  The twisted product, the bicharacter and the expansions
-``sum scalar(u')u''`` sum their coefficients through the ring's
-multiply-accumulate (``scalar._poly_dots``), grouped by output monomial,
-so no polynomial is built per split pair and this module never reads how
-a :class:`~qftalg.scalar.PropPoly` stores its terms.
+``sum scalar(u')u''`` are each one call of the ring's weighted
+multiply-accumulate (``scalar._poly_dots``): every split pair is one
+entry ``(output monomial, integer weight, pairing value, coefficient)``,
+so no polynomial or element is built per split pair and this module never
+reads how a :class:`~qftalg.scalar.PropPoly` stores its terms.
 
 Bicharacter values of monomial pairs are memoised in a dict, ``_R_CACHE``;
 the power-grouped coproduct and the chronological product of a basis
@@ -91,10 +92,10 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
         # closed form: a single generator never builds the coproduct of v
         result = _r_generator(g, v, mode)
     else:
-        result = _poly_dot(
-            (c * _r_generator(g, v1, mode), r_bicharacter(rest, v2, mode))
+        result = _poly_dots(
+            (None, c, _r_generator(g, v1, mode), r_bicharacter(rest, v2, mode))
             for v1, v2, c in _coproduct_by_power(v)[g.power]
-        )
+        ).get(None, PropPoly.zero())
     _R_CACHE[key] = result
     return result
 
@@ -112,30 +113,29 @@ def _coproduct_by_power(mono: Monomial) -> dict[int, list]:
     return buckets
 
 
-def _twisted_monomials(mu: Monomial, mv: Monomial, mode: RMode) -> Element:
-    """``mu o mv = sum R(mu', mv') mu'' mv''`` on two basis monomials,
-    pairing only the equal-power buckets of their coproducts."""
-    dv = _coproduct_by_power(mv)
-    return Element._raw(_poly_dots(
-        (a2 * b2, ca * cb, r)
-        for power, left_terms in _coproduct_by_power(mu).items()
-        for a1, a2, ca in left_terms
-        for b1, b2, cb in dv.get(power, ())
-        if (r := r_bicharacter(a1, b1, mode))
-    ))
-
-
 def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Element:
     """The deformed product ``u o v = sum R(u', v') u'' v''``.
 
     Associative in both modes; commutative in chronological mode.  Setting
     every propagator symbol to zero recovers the normal product.
+
+    One multiply-accumulate over every pair of basis monomials ``mu``,
+    ``mv`` and every pair of equal-power splits ``(a1, a2)``, ``(b1, b2)``
+    of their coproducts: ``a2 b2`` gains ``ca cb R(a1, b1) pu pv``, with the
+    product ``pu pv`` of the two coefficients formed once per monomial pair.
     """
-    return _linear_sum(
-        (pu * pv, _twisted_monomials(mu, mv, mode))
+    pairs = [
+        (_coproduct_by_power(mu), _coproduct_by_power(mv), pu * pv)
         for mu, pu in u.terms.items()
         for mv, pv in v.terms.items()
-    )
+    ]
+    return Element._raw(_poly_dots(
+        (a2 * b2, ca * cb, r_bicharacter(a1, b1, mode), p)
+        for du, dv, p in pairs
+        for power, left_terms in du.items()
+        for a1, a2, ca in left_terms
+        for b1, b2, cb in dv.get(power, ())
+    ))
 
 
 @cache
@@ -189,13 +189,13 @@ def t_functional(u: Element | Monomial, mode: RMode = RMode.CHRONOLOGICAL) -> Pr
 def _expansion(u: Element, split, scalar) -> Element:
     """``sum scalar(u') u''`` over the ``((u', u''), c)`` pairs of
     ``split(mono)``, for each monomial ``mono`` of ``u``: one
-    multiply-accumulate per monomial, scaled by its coefficient."""
-    return _linear_sum(
-        (coeff, Element._raw(_poly_dots(
-            (right, c, scalar(left)) for (left, right), c in split(mono)
-        )))
+    multiply-accumulate over every monomial and split, ``u''`` gaining
+    ``c * scalar(u') * coeff``."""
+    return Element._raw(_poly_dots(
+        (right, c, scalar(left), coeff)
         for mono, coeff in u.terms.items()
-    )
+        for (left, right), c in split(mono)
+    ))
 
 
 def _expansion_identity(lhs: Element, u: Element, split, scalar, law: str) -> Element:

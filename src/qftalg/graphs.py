@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import factorial, prod
+from typing import Sequence
 
 from .errors import UnsupportedFormat
 from .hopf import Monomial
@@ -65,17 +66,29 @@ class AdjacencyTerm:
     scalar: PropPoly
 
 
+def _multigraphic(degrees: Sequence[int]) -> bool:
+    """True iff some loopless multigraph has these vertex degrees: their
+    sum is even and no degree exceeds half of it."""
+    total = sum(degrees)
+    return total % 2 == 0 and 2 * max(degrees) <= total
+
+
 def enumerate_adjacency(d: DegreeSequence) -> list[AdjacencyTerm]:
     """All admissible adjacency matrices for the degree sequence.
 
     Backtracks over the upper triangle in row-major order with ascending
     entry values, so the output is duplicate-free and sorted
     lexicographically by the row-major encoding.  Returns the empty list
-    when the total degree is odd or the margins cannot be met.
+    when no loopless multigraph has these degrees.
+
+    At the start of each row ``i`` the residual degrees of rows ``i..p-1``
+    must again be the degrees of a loopless multigraph, so every branch
+    that passes ends in a graph: past the check of the last two rows,
+    their last entry takes both residuals to zero.
     """
-    p = len(d.degrees)
-    if sum(d.degrees) % 2 == 1:
+    if not _multigraphic(d.degrees):
         return []
+    p = len(d.degrees)
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
     residual = list(d.degrees)
     matrix = [[0] * p for _ in range(p)]
@@ -83,8 +96,6 @@ def enumerate_adjacency(d: DegreeSequence) -> list[AdjacencyTerm]:
     out: list[AdjacencyTerm] = []
 
     def emit():
-        if any(residual):
-            return
         rows = tuple(tuple(r) for r in matrix)
         # enumeration invariants: symmetry, zero diagonal, exact margins
         assert all(rows[i][i] == 0 for i in range(p))
@@ -102,6 +113,8 @@ def enumerate_adjacency(d: DegreeSequence) -> list[AdjacencyTerm]:
             emit()
             return
         i, j = pairs[idx]
+        if j == i + 1 and not _multigraphic(residual[i:]):
+            return
         # partners of row i still unfilled after this entry
         cap = sum(residual[k] for k in range(j + 1, p))
         lo = max(0, residual[i] - cap)

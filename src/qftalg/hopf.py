@@ -292,7 +292,7 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return Element._raw(_poly_dots(
-                (m1 * m2, c1, c2)
+                (m1 * m2, 1, c1, c2)
                 for m1, c1 in self.terms.items()
                 for m2, c2 in other.terms.items()
             ))
@@ -341,7 +341,7 @@ def _linear_sum(parts: Iterable[tuple]) -> Element:
     """``sum c * e`` over ``(c, e)`` pairs of a scalar and an element: the
     coefficients of each monomial summed by one multiply-accumulate."""
     return Element._raw(_poly_dots(
-        (mono, c, coeff) for c, e in parts for mono, coeff in e.terms.items()
+        (mono, 1, c, coeff) for c, e in parts for mono, coeff in e.terms.items()
     ))
 
 
@@ -456,7 +456,7 @@ class Tensor:
         if self.arity != other.arity:
             raise ValueError("tensor arities differ")
         return Tensor._raw(self.arity, _poly_dots(
-            (tuple(a * b for a, b in zip(s1, s2)), c1, c2)
+            (tuple(a * b for a, b in zip(s1, s2)), 1, c1, c2)
             for s1, c1 in self.terms.items()
             for s2, c2 in other.terms.items()
         ))
@@ -609,7 +609,7 @@ def word_coproduct_prime(word: VertexWord) -> tuple:
 
 def _tensor_from_monomial_expansion(u: Element, expansion) -> Tensor:
     return Tensor._raw(2, _poly_dots(
-        (pair, c, coeff) for mono, coeff in u.terms.items() for pair, c in expansion(mono)
+        (pair, 1, c, coeff) for mono, coeff in u.terms.items() for pair, c in expansion(mono)
     ))
 
 

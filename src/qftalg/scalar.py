@@ -394,28 +394,33 @@ _ZERO = PropPoly._raw({})
 _ONE = PropPoly._raw({0: 1})
 
 
-def _poly_dots(triples: Iterable[tuple]) -> dict:
-    """``{key: sum a*b}`` over ``(key, a, b)`` triples, ``a`` a rational or
-    a :class:`PropPoly` and ``b`` a :class:`PropPoly`.
+def _poly_dots(entries: Iterable[tuple]) -> dict:
+    """``{key: sum k*a*b}`` over weighted ``(key, k, a, b)`` entries, ``k``
+    an integer or rational weight, ``a`` a rational or a :class:`PropPoly`
+    and ``b`` a :class:`PropPoly`.
 
     This is the one multiply-accumulate of the ring, behind every product
     and sum of polynomials: the products of each key add into one
     coefficient dict, and only at the end are cancelled terms dropped,
     integral coefficients stored as ``int`` and keys whose sum is zero
-    dropped.  No polynomial is built per pair.  The product of two symbol
+    dropped.  No polynomial is built per entry.  The weight scales ``a``
+    once per entry, before its terms meet those of ``b``: callers put the
+    integer-coefficient operand first, so a rational coefficient of ``b``
+    costs one ``Fraction`` product, not two.  The product of two symbol
     monomials is looked up by their ids, smaller id first, in
     ``_SYMMAP_PRODUCT_CACHE``; only a pair not seen in either order is
     merged.
     """
     accs: dict = {}
     product = _SYMMAP_PRODUCT_CACHE.get
-    for key, a, b in triples:
+    for key, k, a, b in entries:
         acc = accs.get(key)
         if acc is None:
             acc = accs[key] = {}
         get = acc.get
         if isinstance(a, PropPoly):
-            for s1, c1 in a._terms.items():
+            terms = a._terms.items() if k == 1 else [(s, k * c) for s, c in a._terms.items()]
+            for s1, c1 in terms:
                 for s2, c2 in b._terms.items():
                     if not s1:
                         s = s2
@@ -431,14 +436,14 @@ def _poly_dots(triples: Iterable[tuple]) -> dict:
                             )
                     old = get(s)
                     acc[s] = c1 * c2 if old is None else old + c1 * c2
-        elif a == 1:
+        elif (w := a if k == 1 else k * a) == 1:
             for s, c in b._terms.items():
                 old = get(s)
                 acc[s] = c if old is None else old + c
         else:
             for s, c in b._terms.items():
                 old = get(s)
-                acc[s] = a * c if old is None else old + a * c
+                acc[s] = w * c if old is None else old + w * c
     return {
         key: PropPoly._raw(terms)
         for key, acc in accs.items()
@@ -451,8 +456,9 @@ def _poly_dots(triples: Iterable[tuple]) -> dict:
 
 
 def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:
-    """``sum a*b`` over ``(a, b)`` pairs: :func:`_poly_dots` under one key."""
-    return _poly_dots((None, a, b) for a, b in pairs).get(None, _ZERO)
+    """``sum a*b`` over ``(a, b)`` pairs: :func:`_poly_dots` under one key,
+    each pair of weight 1."""
+    return _poly_dots((None, 1, a, b) for a, b in pairs).get(None, _ZERO)
 
 
 def _poly_sum(polys: Iterable[PropPoly]) -> PropPoly:

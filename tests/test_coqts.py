@@ -214,6 +214,24 @@ class TestTwistedAgainstTables:
         assert twisted_product(u, v, mode) == expected
 
 
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_coefficients_cancelling_across_monomial_pairs(self, mode):
+        # phi(x) o phi(y) and phi(y) o phi(x) meet at phi(x)phi(y) with
+        # coefficients s/2 and -s/2, so that monomial cancels in the sum
+        s = PropPoly.symbol(D("x", "z")) + Fraction(2, 3)
+        u = Fraction(1, 2) * phi("x") + s * phi("y") + Element.scalar(Fraction(-3, 4))
+        v = s * phi("y") + Fraction(-1, 2) * phi("x")
+        got = twisted_product(u, v, mode)
+        assert got
+        assert mono(("x", 1), ("y", 1)) not in got.terms
+        assert all(got.terms.values())
+        assert twisted_product(u, v, mode) + twisted_product(-u, v, mode) == Element.zero()
+        expected = Element.zero()
+        for (a, ca), (b, cb) in itertools.product(u.terms.items(), v.terms.items()):
+            expected = expected + (ca * cb) * twisted_tables(a, b, mode)
+        assert got == expected
+
+
 class TestChronological:
     def test_single_factor(self):
         assert chronological([Generator("x", 1)]) == phi("x")

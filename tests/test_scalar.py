@@ -18,6 +18,7 @@ from qftalg.scalar import (
     Dplus,
     PropPoly,
     _poly_dot,
+    _poly_dots,
     _poly_sum,
     frac_str,
     parse_frac,
@@ -221,6 +222,50 @@ class TestSympyOracle:
             same(_poly_sum([a, b, c]), sa + sb + sc)
             same(_poly_dot([(a, b), (q, c), (1, a), (3, b)]),
                  sa * sb + sympy.Rational(q.numerator, q.denominator) * sc + sa + 3 * sb)
+
+
+
+class TestWeightedPolyDots:
+    """``_poly_dots`` sums ``k*a*b`` per key, the weight ``k`` an int or a
+    Fraction, against the same sums formed with the operators."""
+
+    def test_matches_the_operators(self):
+        rng = random.Random(1515)
+        for _ in range(60):
+            entries = []
+            expected = {}
+            for key in rng.choices("pqr", k=6):
+                k = rng.choice([0, 1, -2, 5, Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+                a = seeded_poly(rng) if rng.random() < 0.7 else Fraction(
+                    rng.randint(-3, 3), rng.randint(1, 3)
+                )
+                b = seeded_poly(rng)
+                entries.append((key, k, a, b))
+                expected[key] = expected.get(key, PropPoly.zero()) + k * a * b
+            got = _poly_dots(entries)
+            assert got == {key: p for key, p in expected.items() if p}
+            for p in got.values():
+                assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                           for c in p.terms.values())
+
+    def test_zero_weight_adds_nothing(self):
+        d = PropPoly.symbol(D(X, Y)) + Fraction(1, 3)
+        assert _poly_dots([("k", 0, d, d), ("k", 0, Fraction(2, 3), d)]) == {}
+        assert _poly_dots([("k", 0, d, d), ("k", 1, 2, d)]) == {"k": 2 * d}
+
+    def test_a_key_whose_weighted_terms_cancel_is_dropped(self):
+        d = PropPoly.symbol(D(X, Y))
+        got = _poly_dots([
+            ("gone", 2, d, d + 1),
+            ("gone", Fraction(1, 2), d, -4 * d - 4),
+            ("kept", 3, Fraction(1, 3), d),
+            ("kept", -1, d + 1, d + Fraction(1, 2)),
+            ("kept", 1, d, d + Fraction(3, 2)),
+        ])
+        # kept: d - (d^2 + 3d/2 + 1/2) + (d^2 + 3d/2) = d - 1/2
+        assert list(got) == ["kept"]
+        assert got["kept"].terms == {((D(X, Y), 1),): 1, (): Fraction(-1, 2)}
+        assert type(got["kept"].terms[((D(X, Y), 1),)]) is int
 
 
 def test_len_counts_terms():
