@@ -40,10 +40,6 @@ def _emit(obj, output: str) -> None:
         print(str(obj))
 
 
-def _mode_from_args(args) -> RMode:
-    return RMode.CHRONOLOGICAL if args.mode == "feynman" else RMode.OPERATOR
-
-
 def _warn_off_kernel(expr):
     """Return ``expr`` unchanged, warning on stderr when its counit is
     nonzero; the command's ``strict=False`` call does the projection."""
@@ -151,7 +147,7 @@ def _run(args) -> int:
     elif args.command == "counit":
         _emit(parse(args.expr).counit(), args.output)
     elif args.command == "wick":
-        product = twisted_product(parse(args.lhs), parse(args.rhs), _mode_from_args(args))
+        product = twisted_product(parse(args.lhs), parse(args.rhs), RMode(args.mode))
         _emit(product, args.output)
     elif args.command == "T":
         _emit(chronological(parse(args.expr)), args.output)

@@ -246,7 +246,7 @@ class Element:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, PropPoly] | None = None):
-        self.terms = _accumulate(terms.items()) if terms else {}
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     @classmethod
     def _raw(cls, terms: dict) -> "Element":
@@ -297,16 +297,13 @@ class Element:
                 for m2, c2 in other.terms.items()
             ))
         if isinstance(other, (PropPoly, Fraction, int)):
-            return self._scaled(other)
+            return _linear_sum(((other, self),))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (PropPoly, Fraction, int)):
-            return self._scaled(other)
+            return _linear_sum(((other, self),))
         return NotImplemented
-
-    def _scaled(self, scalar) -> "Element":
-        return Element._raw(_accumulate((m, c * scalar) for m, c in self.terms.items()))
 
     def counit(self) -> PropPoly:
         """Coefficient of the empty monomial (vacuum expectation value)."""
@@ -357,7 +354,7 @@ class Tensor:
         if any(len(slots) != arity for slots in terms):
             raise ValueError("slot tuple does not match tensor arity")
         self.arity = arity
-        self.terms = _accumulate(terms.items())
+        self.terms = {s: c for s, c in terms.items() if c}
 
     @classmethod
     def _raw(cls, arity: int, terms: dict) -> "Tensor":
@@ -393,7 +390,11 @@ class Tensor:
         return self + (-other)
 
     def scale(self, scalar) -> "Tensor":
-        return Tensor._raw(self.arity, _accumulate((s, c * scalar) for s, c in self.terms.items()))
+        """``scalar`` (a rational or a PropPoly) times each coefficient, in
+        one multiply-accumulate."""
+        if not isinstance(scalar, (PropPoly, Fraction, int)):
+            raise TypeError(f"cannot scale a tensor by {type(scalar).__name__}")
+        return Tensor._raw(self.arity, _poly_dots((s, 1, scalar, c) for s, c in self.terms.items()))
 
     __rmul__ = scale
 
@@ -410,37 +411,40 @@ class Tensor:
     def apply_to_slot(self, index: int, fn: Callable[[Monomial], Iterable]) -> "Tensor":
         """Substitute slot ``index`` by the expansion ``fn(slot)``.
 
-        ``fn`` maps a monomial to an iterable of ``(slot_tuple, coeff)``
-        pairs; the result arity grows accordingly, by the width of the
-        first slot tuple ``fn`` emits (unchanged if it emits none).
+        ``fn`` maps a monomial to ``(slot_tuple, c)`` pairs, ``c`` a scalar
+        that multiplies the term's coefficient in one multiply-accumulate;
+        the arity grows by the width of the first slot tuple ``fn`` emits
+        (unchanged if it emits none).
         """
-        pairs = (
-            (slots[:index] + tuple(new_slots) + slots[index + 1:], coeff * c)
+        entries = (
+            (slots[:index] + tuple(new_slots) + slots[index + 1:], 1, c, coeff)
             for slots, coeff in self.terms.items()
             for new_slots, c in fn(slots[index])
         )
-        first = next(pairs, None)
+        first = next(entries, None)
         if first is None:
             return Tensor._raw(self.arity, {})
-        return Tensor._raw(len(first[0]), _accumulate(chain((first,), pairs)))
+        return Tensor._raw(len(first[0]), _poly_dots(chain((first,), entries)))
 
     def counit_slot(self, index: int) -> "Tensor":
         """Apply the counit to one slot (keeps terms whose slot is 1)."""
-        return Tensor._raw(self.arity - 1, _accumulate(
-            (slots[:index] + slots[index + 1:], coeff)
+        return Tensor._raw(self.arity - 1, {
+            slots[:index] + slots[index + 1:]: coeff
             for slots, coeff in self.terms.items()
             if slots[index].is_unit
-        ))
+        })
 
     def swap(self, i: int, j: int) -> "Tensor":
         order = list(range(self.arity))
         order[i], order[j] = j, i
-        return Tensor._raw(self.arity, _accumulate(
-            (tuple(slots[k] for k in order), coeff) for slots, coeff in self.terms.items()
-        ))
+        return Tensor._raw(self.arity, {
+            tuple(slots[k] for k in order): coeff for slots, coeff in self.terms.items()
+        })
 
     def merge_slots(self, i: int, j: int) -> "Tensor":
         """Multiply slots ``i`` and ``j`` (normal product), dropping slot j."""
+        if i == j:
+            raise ValueError("cannot merge a slot with itself")
 
         def merged(slots):
             out = [s for k, s in enumerate(slots) if k != j]
@@ -675,14 +679,16 @@ def reduced_prime_iter(u: Element, n: int, strict: bool = True) -> Tensor:
 
     The recursion applies the reduced coproduct to the first slot each
     round; every slot stays a nonempty monomial, so the iterate vanishes
-    once n reaches the occurrence count of the largest monomial.
+    once n reaches the occurrence count of the largest monomial.  The
+    rounds stop there: the result is then the zero tensor of arity n+1.
     """
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    u = kernel_project(u, strict)
-    out = Tensor.from_element(u)
+    out = Tensor.from_element(kernel_project(u, strict))
     for _ in range(n):
         out = out.apply_to_slot(0, monomial_reduced_prime)
+        if not out:
+            return Tensor._raw(n + 1, {})
     return out
 
 
@@ -701,12 +707,11 @@ def _antipode_monomial(mono: Monomial) -> Element:
     if mono.size > 1:
         g, rest = mono.split_first()
         return _antipode_monomial(Monomial.of(g)) * _antipode_monomial(rest)
-    pairs = (
-        (m * right, d * -c)
+    return Element._raw(_poly_dots(chain(((mono, 1, 1, _MINUS_ONE),), (
+        (m * right, -c, 1, d)
         for (left, right), c in monomial_reduced(mono)
         for m, d in _antipode_monomial(left).terms.items()
-    )
-    return Element._raw(_accumulate(pairs, {mono: _MINUS_ONE}))
+    ))))
 
 
 def antipode(u: Element) -> Element:

@@ -53,7 +53,7 @@ from .hopf import (
     Tensor,
     VertexWord,
 )
-from .scalar import PropPoly, _accumulate, _poly_dot, parse_frac
+from .scalar import PropPoly, _accumulate, _poly_dot, _poly_dots, parse_frac
 
 
 class Vertex:
@@ -189,9 +189,9 @@ def _reduced_partition_terms(u: Element):
     by_count: dict[int, list] = {}
     for mono, coeff in u.terms.items():
         for blocks, n in _partitions(mono).items():
-            by_count.setdefault(len(blocks), []).append((blocks, coeff * n))
+            by_count.setdefault(len(blocks), []).append((blocks, n, 1, coeff))
     for k in sorted(by_count):
-        yield k, Tensor._raw(k, _accumulate(by_count[k]))
+        yield k, Tensor._raw(k, _poly_dots(by_count[k]))
 
 
 def _mobius(k: int) -> int:

@@ -102,11 +102,15 @@ def parse_frac(text: str) -> Fraction:
 def _accumulate(pairs: Iterable[tuple], acc: dict | None = None) -> dict:
     """Sum ``(key, coeff)`` pairs into ``acc`` (a new dict by default).
 
-    This is the one summation behind the sparse combinations of monomials
-    and tensors (the terms of a polynomial are summed by
-    :func:`_poly_dots`): a key whose coefficients cancel is dropped, so the
-    result holds no zero coefficient.  Works for any coefficient type with
-    ``+`` and truth testing (integers, :class:`PropPoly`).
+    This is the summation for merges whose keys can collide and whose
+    coefficients are only added, never multiplied: the sum of two elements
+    or two tensors, :meth:`~qftalg.hopf.Tensor.merge_slots`, the
+    integer-coefficient coproduct and set-partition tables.  A product of
+    coefficients goes through :func:`_poly_dots` instead, and a re-keying
+    whose keys cannot collide is a dict comprehension.  A key whose
+    coefficients cancel is dropped, so the result holds no zero
+    coefficient.  Works for any coefficient type with ``+`` and truth
+    testing (integers, :class:`PropPoly`).
     """
     if acc is None:
         acc = {}

@@ -110,6 +110,19 @@ def test_identity_violation_is_raised_in_one_place():
         assert found == (1 if path.name == "coqts.py" else 0), path.name
 
 
+# _accumulate only adds: it is called at the merges whose keys can collide
+# (Element and Tensor sums, merge_slots, the coproduct walk and the set
+# partitions); every product of coefficients goes through _poly_dots
+ACCUMULATE_CALLS = {"hopf.py": 4, "renorm.py": 1}
+
+
+def test_accumulate_is_called_only_at_the_merges():
+    called = re.compile(r"(?<!def )\b_accumulate\(")
+    for path in sorted(Path(qftalg.__file__).parent.glob("*.py")):
+        found = len(called.findall(path.read_text(encoding="utf-8")))
+        assert found == ACCUMULATE_CALLS.get(path.name, 0), path.name
+
+
 
 # A pure function of monomials is memoised by functools.cache; a module-level
 # dict stays only where it stores more than one entry per call (the coproducts

@@ -19,7 +19,7 @@ from qftalg.hopf import Element, Generator, Monomial
 from qftalg.laws import exhaustive_monomials
 from qftalg.scalar import D, Dplus, PropPoly, poly_eval
 
-from oracles import bicharacter_contingency, bicharacter_swapped, mono, phi, twisted_tables
+from qft_oracles import bicharacter_contingency, bicharacter_swapped, mono, phi, twisted_tables
 
 UNIT = Monomial.unit()
 BOTH_MODES = [RMode.CHRONOLOGICAL, RMode.OPERATOR]

@@ -9,7 +9,7 @@ from qftalg import hopf
 from qftalg.hopf import Element, Generator, Monomial
 from qftalg.scalar import D, Dplus, PropPoly
 
-from oracles import mono, phi
+from qft_oracles import mono, phi
 
 
 class TestParseExamples:

@@ -21,7 +21,7 @@ from qftalg.laws import exhaustive_monomials
 from qftalg.renorm import connected_T
 from qftalg.scalar import D, PropPoly
 
-from oracles import matchings_t, mono
+from qft_oracles import matchings_t, mono
 
 UNIT = Monomial.unit()
 

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,7 +37,7 @@ from qftalg.hopf import (
 from qftalg.laws import default_family, exhaustive_monomials
 from qftalg.scalar import D, PropPoly
 
-from oracles import (
+from qft_oracles import (
     antipode_recursion,
     delta_closed_form,
     delta_prime_subsets,
@@ -263,6 +264,29 @@ class TestReducedPrimeIter:
             if p > 1:
                 assert reduced_prime_iter(u, p - 1)
 
+    def test_vanished_iterate_keeps_arity_n_plus_one(self):
+        u = phi("x") * phi("y")
+        result = reduced_prime_iter(u, 3)
+        assert result.arity == 4
+        assert result == Tensor(4, {})
+        assert reduced_prime_iter(Element.zero(), 2) == Tensor(3, {})
+
+    def test_rounds_stop_once_the_iterate_vanishes(self, monkeypatch):
+        rounds = []
+        apply = Tensor.apply_to_slot
+
+        def counted(tensor, index, fn):
+            rounds.append(index)
+            return apply(tensor, index, fn)
+
+        monkeypatch.setattr(Tensor, "apply_to_slot", counted)
+        result = reduced_prime_iter(phi("x"), 10**6)
+        assert (result.arity, result.terms) == (10**6 + 1, {})
+        assert len(rounds) == 1
+        rounds.clear()
+        assert reduced_prime_iter(phi("x") * phi("y"), 3) == Tensor(4, {})
+        assert len(rounds) == 2
+
 
 class TestAntipode:
     def test_unit(self):
@@ -289,6 +313,24 @@ class TestAntipode:
             for m, coeff in u.terms.items():
                 expected = expected + coeff * antipode_recursion(m, memo)
             assert antipode(u) == expected, str(u)
+
+    def test_rational_coefficients_against_sum_of_monomial_antipodes(self):
+        # S(u) = sum q S(m), summed term by term; the phi(x)*phi(x) terms
+        # of S(phi^2(x)) and S(phi(x)*phi(x)) cancel
+        xx = mono(("x", 1), ("x", 1))
+        u = Element({
+            Monomial.of(Generator("x", 2)): PropPoly.constant(Fraction(1, 3)),
+            xx: PropPoly.constant(Fraction(-2, 3)),
+            mono(("x", 1), ("y", 2)): Fraction(5, 4) * PropPoly.symbol(D("x", "y")),
+        })
+        expected = {}
+        for m, q in u.terms.items():
+            for m2, s in antipode(Element.from_monomial(m)).terms.items():
+                expected[m2] = expected.get(m2, PropPoly.zero()) + q * s
+        got = antipode(u)
+        assert got == Element(expected)
+        assert xx not in got.terms
+        assert all(got.terms.values())
 
     def test_hopf_axiom_small(self):
         for gens in [[("x", 2)], [("x", 1), ("y", 1)], [("x", 2), ("y", 3)], [("x", 1), ("x", 1)]]:
@@ -403,6 +445,11 @@ class TestCancellation:
         partial = t2((self.a, self.b, 1), (self.b, self.a, -1), (self.a, self.a, 2))
         assert partial.merge_slots(1, 0).terms == {(mono(("x", 1), ("x", 1)),): PropPoly.constant(2)}
 
+    def test_merge_slots_rejects_one_slot_twice(self):
+        t = coproduct(phi("x") * phi("y"))
+        with pytest.raises(ValueError):
+            t.merge_slots(0, 0)
+
     def test_pairwise_product_collisions_cancel(self):
         t = t2((self.a, UNIT, 1), (UNIT, self.a, 1))
         s = t2((self.b, UNIT, 1), (UNIT, self.b, -1))
@@ -425,6 +472,70 @@ class TestCancellation:
         assert (out.arity, out.terms) == (2, {})
         widened = t.apply_to_slot(1, lambda m: [((m, UNIT), PropPoly.one())])
         assert widened == Tensor(3, {(self.a, self.b, UNIT): PropPoly.one()})
+
+
+DXY = PropPoly.symbol(D("x", "y"))
+SCALARS = [
+    3,
+    Fraction(-2, 7),
+    Fraction(1, 2) * DXY * DXY - Fraction(3, 5),
+    0,
+    Fraction(0),
+    PropPoly.zero(),
+]
+SCALAR_IDS = ["int", "fraction", "poly", "int-zero", "fraction-zero", "poly-zero"]
+
+
+class TestCoefficientProducts:
+    """Scaling and slot substitution multiply every coefficient, compared
+    with results built term by term through the PropPoly operators."""
+
+    a = mono(("x", 1))
+    b = mono(("y", 1))
+    u = Element({
+        a: PropPoly.constant(Fraction(3, 4)),
+        mono(("x", 1), ("y", 2)): DXY - 1,
+        UNIT: PropPoly.constant(-2),
+    })
+    t = Tensor(2, {(a, b): DXY * Fraction(1, 3), (b, UNIT): PropPoly.constant(5)})
+
+    @pytest.mark.parametrize("scalar", SCALARS, ids=SCALAR_IDS)
+    def test_element_times_scalar(self, scalar):
+        expected = Element({m: c * scalar for m, c in self.u.terms.items()})
+        assert self.u * scalar == expected
+        assert scalar * self.u == expected
+        assert all((self.u * scalar).terms.values())
+
+    @pytest.mark.parametrize("scalar", SCALARS, ids=SCALAR_IDS)
+    def test_tensor_scale(self, scalar):
+        expected = Tensor(2, {s: c * scalar for s, c in self.t.terms.items()})
+        assert self.t.scale(scalar) == expected
+        assert scalar * self.t == expected
+        assert all(self.t.scale(scalar).terms.values())
+
+    @pytest.mark.parametrize("scalar", [2.5, "a", None])
+    def test_tensor_scale_rejects_non_scalars(self, scalar):
+        with pytest.raises(TypeError):
+            scalar * self.t
+        with pytest.raises(TypeError):
+            self.t.scale(scalar)
+
+    def test_apply_to_slot_with_polynomial_coefficients_that_partly_cancel(self):
+        a, b = self.a, self.b
+        t = Tensor(2, {(a, b): DXY, (a, a): PropPoly.one()})
+        emitted = {
+            b: [((b, UNIT), 1 + DXY), ((UNIT, b), PropPoly.constant(Fraction(1, 2)))],
+            a: [((b, UNIT), 2 - DXY * DXY), ((UNIT, b), Fraction(-1, 2) * DXY)],
+        }
+        got = t.apply_to_slot(1, emitted.__getitem__)
+        expected = {}
+        for slots, coeff in t.terms.items():
+            for new, c in emitted[slots[1]]:
+                key = slots[:1] + new
+                expected[key] = expected.get(key, PropPoly.zero()) + coeff * c
+        assert got == Tensor(3, expected)
+        # D*(1 + D) + (2 - D^2) leaves D + 2; D/2 - D/2 leaves nothing
+        assert got.terms == {(a, b, UNIT): DXY + 2}
 
 
 generators = st.builds(Generator, st.sampled_from("xyz"), st.integers(1, 3))

@@ -14,7 +14,7 @@ from qftalg.laws import (
 )
 from qftalg.scalar import PropPoly
 
-from oracles import phi
+from qft_oracles import phi
 
 
 def small_family(seed=0, random_count=10):

@@ -30,7 +30,7 @@ from qftalg.renorm import (
 )
 from qftalg.scalar import D, PropPoly
 
-from oracles import mono, phi, set_partitions
+from qft_oracles import mono, phi, set_partitions
 
 
 def d(a, b, power=1, coeff=1):
