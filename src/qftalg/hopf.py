@@ -88,6 +88,8 @@ class Monomial:
         for gen, mult in factors:
             if mult < 0:
                 raise ValueError("multiplicities must be nonnegative")
+            if gen.power < 1:
+                raise ValueError("generator powers must be >= 1")
             if mult:
                 acc[gen] = acc.get(gen, 0) + mult
         return Monomial._raw(tuple(sorted(acc.items())))
@@ -123,6 +125,8 @@ class Monomial:
 
     @classmethod
     def of(cls, gen: Generator) -> "Monomial":
+        if gen.power < 1:
+            raise ValueError("generator powers must be >= 1")
         return Monomial._raw(((gen, 1),))
 
     @property
@@ -300,10 +304,7 @@ class Element:
             return _linear_sum(((other, self),))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (PropPoly, Fraction, int)):
-            return _linear_sum(((other, self),))
-        return NotImplemented
+    __rmul__ = __mul__
 
     def counit(self) -> PropPoly:
         """Coefficient of the empty monomial (vacuum expectation value)."""
@@ -611,31 +612,27 @@ def word_coproduct_prime(word: VertexWord) -> tuple:
     )
 
 
-def _tensor_from_monomial_expansion(u: Element, expansion) -> Tensor:
+def _tensor_from_monomial_expansion(u: Element | Monomial, expansion) -> Tensor:
+    """``expansion`` extended linearly; a monomial ``u`` reads as itself."""
+    terms = u.terms.items() if isinstance(u, Element) else ((u, PropPoly.one()),)
     return Tensor._raw(2, _poly_dots(
-        (pair, 1, c, coeff) for mono, coeff in u.terms.items() for pair, c in expansion(mono)
+        (pair, 1, c, coeff) for mono, coeff in terms for pair, c in expansion(mono)
     ))
 
 
 def coproduct(u: Element | Monomial) -> Tensor:
     """The contraction coproduct, extended linearly and multiplicatively."""
-    if isinstance(u, Monomial):
-        u = Element.from_monomial(u)
     return _tensor_from_monomial_expansion(u, monomial_coproduct)
 
 
 def coproduct_prime(u: Element | Monomial) -> Tensor:
     """The partition coproduct, extended linearly and multiplicatively."""
-    if isinstance(u, Monomial):
-        u = Element.from_monomial(u)
     return _tensor_from_monomial_expansion(u, monomial_coproduct_prime)
 
 
 def coaction(u: Element | Monomial) -> Tensor:
     """The coaction on vertex words, extended linearly; slot 0 holds
     :class:`VertexWord` values, slot 1 monomials."""
-    if isinstance(u, Monomial):
-        u = Element.from_monomial(u)
     return _tensor_from_monomial_expansion(u, monomial_coaction)
 
 

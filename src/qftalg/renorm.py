@@ -9,10 +9,11 @@ sub-monomial ``m_B``:
 
 where ``k`` is the number of blocks of ``pi`` and ``O`` is a pluggable
 generalized vertex (a linear map from the algebra into the span of single
-generators).  ``T_c`` is the logarithm of ``T`` over the partition
-lattice, whose Moebius function gives its weights (Rota, "On the
-foundations of combinatorial theory I", 1964); ``T_R`` is ``T`` after the
-exponential of ``O``.  The same sums arise from the ordered iterates of
+generators).  Both are one :func:`_partition_sum` under a weight of
+``k``.  ``T_c`` is the logarithm of ``T`` over the partition lattice,
+whose Moebius function gives its weights (Rota, "On the foundations of
+combinatorial theory I", 1964); ``T_R = T o O^`` is ``T`` after the
+exponential ``O^`` of ``O``.  The same sums arise from the ordered iterates of
 the reduced partition coproduct, with weights ``(-1)^(n+1)/n`` and
 ``1/n!``: each k-block partition appears there once per ordering of its
 blocks.  Products between the ``T(...)`` factors are normal products.
@@ -200,14 +201,21 @@ def _mobius(k: int) -> int:
     return (-1) ** (k - 1) * factorial(k - 1)
 
 
-def connected_T(u: Element, strict: bool = True) -> Element:
-    """The connected chronological product on the counit kernel."""
-    u = kernel_project(u, strict)
-    return _linear_sum(
-        (c * _mobius(k), reduce(mul, map(chronological, slots)))
+def _partition_sum(u: Element, block, weight) -> Element:
+    """``sum_pi weight(k) prod_B block(m_B)`` over the set partitions of the
+    monomials of ``u``, in one multiply-accumulate; the integer weight of
+    the block count ``k`` scales each partition's coefficient."""
+    return Element._raw(_poly_dots(
+        (mono, weight(k), c, coeff)
         for k, tensor in _reduced_partition_terms(u)
         for slots, c in tensor.terms.items()
-    )
+        for mono, coeff in reduce(mul, map(block, slots)).terms.items()
+    ))
+
+
+def connected_T(u: Element, strict: bool = True) -> Element:
+    """The connected chronological product on the counit kernel."""
+    return _partition_sum(kernel_project(u, strict), chronological, _mobius)
 
 
 def t_c_functional(u: Element | Monomial, strict: bool = True) -> PropPoly:
@@ -252,13 +260,7 @@ def comodule_expansion_check(u: Element, strict: bool = True) -> Element:
 def renormalized_T(u: Element, vertex: Vertex, strict: bool = True) -> Element:
     """The renormalized chronological product with generalized vertex ``O``.
 
-    Each set partition of a monomial of ``u`` contributes the normal
-    product of the vertex images of its blocks, with weight 1; ``T`` is
-    linear, so that sum is formed first and ``T`` applied to it once.
+    ``T_R = T o O^``: ``T``, which is linear, applied once to the weight-1
+    partition sum ``O^`` of the products of the vertex images of the blocks.
     """
-    u = kernel_project(u, strict)
-    return chronological(_linear_sum(
-        (c, reduce(mul, map(vertex.image, slots)))
-        for _, tensor in _reduced_partition_terms(u)
-        for slots, c in tensor.terms.items()
-    ))
+    return chronological(_partition_sum(kernel_project(u, strict), vertex.image, lambda k: 1))

@@ -76,6 +76,28 @@ class TestNormalize:
         assert normalize([(g.point, g.power) for g in m.occurrences()]) == m
 
 
+class TestGeneratorPowerBelowOne:
+    """A generator of power 0 would print as ``phi^0(x)`` and re-parse to
+    ``1``, with coproduct ``1 ⊗ 1``; a negative power would have coproduct
+    0.  The public constructors reject both; the parser reads ``phi^0`` as
+    the unit."""
+
+    @pytest.mark.parametrize("power", [0, -2])
+    @pytest.mark.parametrize("build", [
+        lambda g: Monomial([(g, 1)]),
+        lambda g: Monomial([(g, 0)]),
+        Monomial.of,
+        Element.from_generator,
+    ], ids=["constructor", "constructor-mult-0", "of", "from_generator"])
+    def test_rejected(self, build, power):
+        with pytest.raises(ValueError, match="generator powers must be >= 1"):
+            build(Generator("x", power))
+
+    def test_parser_reads_power_zero_as_unit(self):
+        assert parse("phi^0(x)") == Element.one()
+        assert parse("phi^0(x)*phi(y)") == parse("phi(y)")
+
+
 class TestNormalProduct:
     def test_unit(self):
         u = phi("x", 2)

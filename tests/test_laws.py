@@ -90,6 +90,27 @@ def test_mutated_coproduct_detected():
     assert not report.passed
 
 
+def mutation_family():
+    return ElementFamily("mutation", tuple(exhaustive_monomials(max_generators=2, max_power=2)[:12]))
+
+
+def test_mutated_coproduct_detected_by_bialgebra():
+    # the mutation leaves the coproduct of 1 alone, so exactly the 11 x 11
+    # pairs of non-unit members fail
+    fam = mutation_family()
+    assert check_bialgebra(fam).passed
+    report = check_bialgebra(fam, coproduct_fn=mutated_coproduct)
+    assert (report.checked, len(report.failures)) == (144, 121)
+
+
+def test_mutated_coproduct_detected_by_antipode():
+    fam = mutation_family()
+    assert check_antipode(fam).passed
+    report = check_antipode(fam, coproduct_fn=mutated_coproduct)
+    # both sides of each of the 11 non-unit members
+    assert (report.checked, len(report.failures)) == (12, 22)
+
+
 def test_report_json_shape():
     report = check_coalgebra("delta", ElementFamily("tiny", (phi("x"),)))
     data = report.to_json()

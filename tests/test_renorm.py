@@ -417,3 +417,59 @@ class TestRenormalizedTDefinition:
         members += [u + Fraction(-2, 3) * v for u, v in zip(members[::7], members[3::7])]
         for u in rng.sample(members, 60):
             assert renormalized_T(u, vertex) == definitional_T_R(u, vertex)
+
+
+def symbol_combinations(rng, members, count):
+    """``count`` combinations ``D(x1,x2) a + (1/2 D(x2,x3)^2 - 2/3) b`` of two
+    members, so that the partition coefficients are polynomials."""
+    coeff_a = d("x1", "x2")
+    coeff_b = d("x2", "x3", 2, Fraction(1, 2)) - Fraction(2, 3)
+    for _ in range(count):
+        a, b = rng.sample(members, 2)
+        yield coeff_a * a + coeff_b * b
+
+
+class TestSymbolCoefficients:
+    """Coefficients that are propagator polynomials, not rationals, through
+    ``connected_T`` and ``renormalized_T``, against the ordered series."""
+
+    MEMBERS = list(acceptance_family(3)) + [Element.from_monomial(m) for m in REPEATED[:2]]
+
+    def test_connected_T(self):
+        for u in symbol_combinations(random.Random(17), self.MEMBERS, 12):
+            assert connected_T(u) == definitional_T_c(u), str(u)
+
+    def test_renormalized_T(self):
+        # every generator of the members has an image, every other one with
+        # a polynomial coefficient, so that no partition vanishes wholesale
+        gens = ACCEPTANCE_GENERATORS + [Generator("x", 1), Generator("x", 2), Generator("y", 1)]
+        rules = {
+            Monomial.of(g): (d(g.point, "x4", 1, i) if i % 2 else Fraction(i + 1, 2))
+            * Element.from_generator(gens[5 * i % len(gens)])
+            for i, g in enumerate(gens)
+        }
+        rules[Monomial.from_occurrences(gens[:2])] = (d("x2", "x4", 1, 3) + 1) * phi("x3", 2)
+        rules[mono(("x", 1), ("x", 1))] = Fraction(-1, 3) * phi("y")
+        for vertex in (identity_vertex(), Vertex(rules)):
+            for u in symbol_combinations(random.Random(18), self.MEMBERS, 12):
+                expected = definitional_T_R(u, vertex)
+                assert expected, str(u)
+                assert renormalized_T(u, vertex) == expected, str(u)
+
+
+def test_partition_sums_form_no_polynomial_product_of_their_own(monkeypatch):
+    # Once the chronological products and the partition tables are cached,
+    # every polynomial product of T_c and T_R goes through the one
+    # multiply-accumulate, scalar._poly_dots, and none through PropPoly *.
+    u = d("x1", "x2") * Element.from_monomial(mono(("x1", 1), ("x2", 2), ("x3", 1))) + (
+        d("x2", "x3", 2, Fraction(1, 2)) - Fraction(2, 3)
+    ) * Element.from_monomial(mono(("x1", 1), ("x1", 1), ("x3", 2)))
+    vertex = identity_vertex()
+    expected = connected_T(u), renormalized_T(u, vertex)
+
+    def refuse(self, other):
+        raise AssertionError("PropPoly product formed outside _poly_dots")
+
+    monkeypatch.setattr(PropPoly, "__mul__", refuse)
+    monkeypatch.setattr(PropPoly, "__rmul__", refuse)
+    assert (connected_T(u), renormalized_T(u, vertex)) == expected
