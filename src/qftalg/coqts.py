@@ -46,9 +46,17 @@ class RMode(enum.Enum):
     CHRONOLOGICAL = "feynman"
 
 
+def _check_mode(mode: RMode) -> None:
+    """:class:`ModeError` unless ``mode`` is an :class:`RMode` member; a
+    string such as ``"feynman"`` would otherwise read as operator mode."""
+    if type(mode) is not RMode:
+        raise ModeError(f"mode must be an RMode member, got {mode!r}")
+
+
 def r_generators(g: Generator, h: Generator, mode: RMode) -> PropPoly:
     """Pairing of two generators: zero unless powers match, else
     ``n! * symbol(x, y)^n`` with orientation from ``g`` to ``h``."""
+    _check_mode(mode)
     if g.power != h.power:
         return PropPoly.zero()
     return _r_generator(g, Monomial.of(h), mode)
@@ -82,8 +90,14 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
         return PropPoly.zero()
     if u.is_unit:
         return PropPoly.one()
-    # an enum hashes through Python code on every lookup; a bool does not
-    key = (u, v, mode is RMode.CHRONOLOGICAL)
+    # the values above hold in both modes; below, a mode that is not an
+    # RMode member raises before the table is read, at the cost of one
+    # identity test per call in operator mode.  An enum hashes through
+    # Python code on every lookup; a bool does not.
+    chronological = mode is RMode.CHRONOLOGICAL
+    if not chronological and type(mode) is not RMode:
+        _check_mode(mode)
+    key = (u, v, chronological)
     cached = _R_CACHE.get(key)
     if cached is not None:
         return cached
@@ -124,6 +138,7 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     of their coproducts: ``a2 b2`` gains ``ca cb R(a1, b1) pu pv``, with the
     product ``pu pv`` of the two coefficients formed once per monomial pair.
     """
+    _check_mode(mode)
     pairs = [
         (_coproduct_by_power(mu), _coproduct_by_power(mv), pu * pv)
         for mu, pu in u.terms.items()

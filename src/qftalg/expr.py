@@ -28,7 +28,9 @@ from .errors import ExprSyntaxError, PowerError
 from .hopf import Element, Generator, Monomial
 from .scalar import D, Dplus, PropPoly
 
-_TOKEN_RE = re.compile(r"(?P<INT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9_]*)|(?P<OP>[-+*/^(),])")
+#: the ``point`` rule of the grammar; the vertex-file reader checks labels by it
+_POINT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(rf"(?P<INT>\d+)|(?P<NAME>{_POINT_RE.pattern})|(?P<OP>[-+*/^(),])")
 _WS_RE = re.compile(r"\s+")
 
 

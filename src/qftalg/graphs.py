@@ -23,9 +23,9 @@ against the counit of the set-partition sum
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import UnsupportedFormat
 from .hopf import Monomial
@@ -35,20 +35,19 @@ from .scalar import D, PropPoly, _poly_sum, frac_str
 VERTEX_EXPANSION = "one vertex per generator occurrence"
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(namedtuple("DegreeSequence", "points degrees")):
     """Graph vertex data for one monomial: point labels and line counts."""
 
-    points: tuple[str, ...]
-    degrees: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.points) != len(self.degrees):
+    def __new__(cls, points: tuple[str, ...], degrees: tuple[int, ...]):
+        if len(points) != len(degrees):
             raise ValueError("points and degrees must have equal length")
-        if len(self.points) < 1:
+        if len(points) < 1:
             raise ValueError("a degree sequence needs at least one vertex")
-        if any(n < 1 for n in self.degrees):
+        if any(n < 1 for n in degrees):
             raise ValueError("vertex degrees must be >= 1")
+        return super().__new__(cls, points, degrees)
 
     @classmethod
     def from_monomial(cls, mono: Monomial) -> "DegreeSequence":
@@ -56,8 +55,7 @@ class DegreeSequence:
         return cls(tuple(g.point for g in occ), tuple(g.power for g in occ))
 
 
-@dataclass(frozen=True)
-class AdjacencyTerm:
+class AdjacencyTerm(NamedTuple):
     """One Feynman graph: its adjacency matrix, integer weight
     ``n_1!...n_p! / prod m_ij!`` and scalar ``weight * prod D^{m_ij}``."""
 

@@ -4,9 +4,10 @@ A law is its named sides plus one loop.  Each checker is a ``sides``
 generator that yields ``(label, lhs, rhs)`` for one instance, lazily, and
 one call of :func:`_report`, the loop that walks a finite element family
 (exhaustive small monomials over a three-point alphabet plus seeded random
-linear combinations), counts each instance and records every pair of
-sides that differ into a :class:`LawReport`; an empty failure list is a
-pass.  Reports are deterministic for a fixed seed.
+linear combinations), counts each instance, collects every pair of sides
+that differ and then builds one :class:`LawReport`, a NamedTuple like
+every record here; an empty failure list is a pass.  Reports are
+deterministic for a fixed seed.
 
 The ``coproduct_fn`` hooks exist for mutation testing only: passing a
 deliberately corrupted coproduct must make the checkers fail, guarding
@@ -17,9 +18,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .hopf import (
     Element,
@@ -41,8 +41,7 @@ DEFAULT_POINTS = ("x1", "x2", "x3")
 DEFAULT_RANDOM_COUNT = 100
 
 
-@dataclass
-class LawFailure:
+class LawFailure(NamedTuple):
     """One violated instance: the inputs and both evaluated sides."""
 
     law: str
@@ -59,11 +58,12 @@ class LawFailure:
         }
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
+    """One law over one family: instances checked and every failure."""
+
     law: str
-    checked: int = 0
-    failures: list[LawFailure] = field(default_factory=list)
+    checked: int
+    failures: list[LawFailure]
 
     @property
     def passed(self) -> bool:
@@ -81,8 +81,7 @@ class LawReport:
         return f"{self.law}: checked {self.checked}, failures {len(self.failures)}: {status}"
 
 
-@dataclass(frozen=True)
-class ElementFamily:
+class ElementFamily(NamedTuple):
     name: str
     members: tuple[Element, ...]
 
@@ -159,15 +158,16 @@ def _report(law: str, instances, sides) -> LawReport:
     1-tuples of ``zip(members)`` or the pairs of ``itertools.product``) and
     record, in yield order, every ``(label, lhs, rhs)`` that
     ``sides(*inputs)`` yields with ``lhs != rhs``."""
-    report = LawReport(law)
+    checked = 0
+    failures = []
     for inputs in instances:
-        report.checked += 1
-        report.failures.extend(
+        checked += 1
+        failures.extend(
             LawFailure(label, inputs, lhs, rhs)
             for label, lhs, rhs in sides(*inputs)
             if lhs != rhs
         )
-    return report
+    return LawReport(law, checked, failures)
 
 
 def check_coalgebra(

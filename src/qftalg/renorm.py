@@ -42,6 +42,7 @@ from operator import mul
 from typing import Mapping
 
 from .coqts import _expansion_identity, chronological
+from .expr import _POINT_RE
 from .graphs import t_connected_via_graphs
 from .hopf import (
     Element,
@@ -97,14 +98,15 @@ class Vertex:
 
         Malformed tables raise :class:`ValueError`: a top level or a
         ``from``/``to`` list that is not an array of objects, a missing
-        field, a point or a coefficient that is not a string, a power that
-        is not an integer >= 1, a multiplicity that is not an integer >= 0,
-        a zero denominator.
+        field, a point or a coefficient that is not a string, a point that
+        the expression grammar's ``point`` rule rejects, a power that is not
+        an integer >= 1, a multiplicity that is not an integer >= 0, a zero
+        denominator.
         """
         rules: dict[Monomial, Element] = {}
         for entry in _objects(json.loads(text), "vertex file"):
             source = Monomial(
-                (Generator(_str_field(f, "point", "from"), _int_field(f, "power", 1, "from")),
+                (Generator(_point_field(f, "from"), _int_field(f, "power", 1, "from")),
                  _int_field(f, "mult", 0, "from"))
                 for f in _objects(_field(entry, "from", "vertex file"), "from")
             )
@@ -112,7 +114,7 @@ class Vertex:
                 (
                     PropPoly.constant(parse_frac(_str_field(t, "coeff", "to"))),
                     Element.from_generator(
-                        Generator(_str_field(t, "point", "to"), _int_field(t, "power", 1, "to"))
+                        Generator(_point_field(t, "to"), _int_field(t, "power", 1, "to"))
                     ),
                 )
                 for t in _objects(_field(entry, "to", "vertex file"), "to")
@@ -150,6 +152,15 @@ def _str_field(obj: dict, key: str, where: str) -> str:
     value = _field(obj, key, where)
     if not isinstance(value, str):
         raise ValueError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _point_field(obj: dict, where: str) -> str:
+    """``obj["point"]`` if it is a label the expression parser reads back;
+    else ValueError."""
+    value = _str_field(obj, "point", where)
+    if not _POINT_RE.fullmatch(value):
+        raise ValueError(f"point must match {_POINT_RE.pattern}, got {value!r}")
     return value
 
 

@@ -513,6 +513,22 @@ class TestExitCodes:
             assert (code, out) == (2, ""), text
             assert err == f"error: bad vertex file: point must be a string, got {point}\n", text
 
+    def test_vertex_point_must_be_a_parser_label(self, tmp_path):
+        # such labels used to reach the output, which the parser then rejected
+        source = [{"point": "x", "power": 1, "mult": 1}]
+        target = [{"point": "x", "power": 1, "coeff": "1/1"}]
+        bad = tmp_path / "vertex.json"
+        for point in ("", "a b", "1x"):
+            for rule in ({"from": source, "to": [dict(target[0], point=point)]},
+                         {"from": [dict(source[0], point=point)], "to": target}):
+                bad.write_text(json.dumps([rule]))
+                code, out, err = run_cli("TR", "--expr", "phi(x)*phi(y)", "--vertex", str(bad))
+                assert (code, out) == (2, ""), rule
+                assert err == (
+                    "error: bad vertex file: point must match [A-Za-z][A-Za-z0-9_]*, "
+                    f"got {point!r}\n"
+                ), rule
+
     def test_too_deep_input_is_a_usage_error(self):
         too_deep = "error: input too deep to evaluate (recursion limit exceeded)\n"
         # nested parentheses and unary minus recurse in the parser; the

@@ -271,6 +271,26 @@ class TestChronological:
             t_functional(phi("x"), RMode.OPERATOR)
 
 
+class TestModeMembers:
+    # a string mode used to read as operator mode, and a cached operator
+    # value answered it once the bicharacter table was warm
+    def test_string_mode_is_rejected_with_a_warm_cache(self):
+        x, y = phi("x"), phi("y")
+        u, v = mono(("x", 1), ("y", 1)), mono(("z", 2))
+        for mode in BOTH_MODES:
+            twisted_product(x, y, mode)
+            r_bicharacter(u, v, mode)
+        for mode in ("feynman", "wightman", None, True):
+            with pytest.raises(ModeError):
+                twisted_product(x, y, mode)
+            with pytest.raises(ModeError):
+                twisted_product(Element.zero(), y, mode)
+            with pytest.raises(ModeError):
+                r_bicharacter(u, v, mode)
+            with pytest.raises(ModeError):
+                r_generators(Generator("x", 1), Generator("y", 2), mode)
+
+
 class TestTFunctional:
     def test_unit(self):
         assert t_functional(Element.one()) == PropPoly.one()

@@ -30,6 +30,19 @@ def degree_ones(p):
     return DegreeSequence(tuple(f"x{i}" for i in range(1, p + 1)), (1,) * p)
 
 
+class TestDegreeSequence:
+    @pytest.mark.parametrize("points, degrees, message", [
+        (("x1", "x2"), (1,), "equal length"),
+        ((), (), "at least one vertex"),
+        (("x1", "x2"), (1, 0), "degrees must be >= 1"),
+    ])
+    def test_rejects_bad_vertex_data(self, points, degrees, message):
+        with pytest.raises(ValueError, match=message):
+            DegreeSequence(points, degrees)
+        with pytest.raises(ValueError, match=message):
+            DegreeSequence(points=points, degrees=degrees)
+
+
 class TestEnumeration:
     def test_two_degree_one_vertices(self):
         terms = enumerate_adjacency(degree_ones(2))
