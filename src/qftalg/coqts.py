@@ -21,10 +21,11 @@ entry ``(output monomial, integer weight, pairing value, coefficient)``,
 so no polynomial or element is built per split pair and this module never
 reads how a :class:`~qftalg.scalar.PropPoly` stores its terms.
 
-Bicharacter values of monomial pairs are memoised in a dict, ``_R_CACHE``;
-the power-grouped coproduct and the chronological product of a basis
-monomial by ``functools.cache``.  Entries are idempotent, so concurrent
-reads/writes are benign and results do not depend on evaluation order.
+Bicharacter values of monomial pairs are memoised in a dict, ``_R_CACHE``,
+keyed on the pair and the mode read as its propagator (``_symbol``); the
+power-grouped coproduct and the chronological product of a basis monomial
+by ``functools.cache``.  Entries are idempotent, so concurrent reads/writes
+are benign and results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -46,32 +47,35 @@ class RMode(enum.Enum):
     CHRONOLOGICAL = "feynman"
 
 
-def _check_mode(mode: RMode) -> None:
-    """:class:`ModeError` unless ``mode`` is an :class:`RMode` member; a
-    string such as ``"feynman"`` would otherwise read as operator mode."""
-    if type(mode) is not RMode:
-        raise ModeError(f"mode must be an RMode member, got {mode!r}")
+_OPERATOR, _CHRONOLOGICAL = RMode.OPERATOR, RMode.CHRONOLOGICAL
+
+
+def _symbol(mode: RMode):
+    """The propagator ``mode`` contracts with: ``D`` in chronological mode,
+    ``Dplus`` in operator mode; :class:`ModeError` for anything else."""
+    if mode is _CHRONOLOGICAL:
+        return D
+    if mode is _OPERATOR:
+        return Dplus
+    raise ModeError(f"mode must be an RMode member, got {mode!r}")
 
 
 def r_generators(g: Generator, h: Generator, mode: RMode) -> PropPoly:
     """Pairing of two generators: zero unless powers match, else
     ``n! * symbol(x, y)^n`` with orientation from ``g`` to ``h``."""
-    _check_mode(mode)
-    if g.power != h.power:
-        return PropPoly.zero()
-    return _r_generator(g, Monomial.of(h), mode)
+    _symbol(mode)  # a bad mode raises even when the powers differ
+    return r_bicharacter(Monomial.of(g), Monomial.of(h), mode)
 
 
-def _r_generator(g: Generator, v: Monomial, mode: RMode) -> PropPoly:
-    """``R(g, v) = n! * prod s(x, y)^(m*mult)`` for ``g = phi^n(x)`` and a
+def _r_generator(g: Generator, v: Monomial, sym) -> PropPoly:
+    """``R(g, v) = n! * prod sym(x, y)^(m*mult)`` for ``g = phi^n(x)`` and a
     monomial ``v`` of total power ``n`` with factors ``(phi^m(y), mult)``."""
-    sym = D if mode is RMode.CHRONOLOGICAL else Dplus
     return PropPoly.from_symbol_powers(
         ((sym(g.point, h.point), h.power * mult) for h, mult in v.factors), factorial(g.power)
     )
 
 
-# a dict: its key reads the mode as a bool (below); wickbench/tracer.py reads it
+# a dict: its key reads the mode as its propagator; wickbench/tracer.py reads it
 _R_CACHE: dict[tuple, PropPoly] = {}
 
 
@@ -90,24 +94,18 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
         return PropPoly.zero()
     if u.is_unit:
         return PropPoly.one()
-    # the values above hold in both modes; below, a mode that is not an
-    # RMode member raises before the table is read, at the cost of one
-    # identity test per call in operator mode.  An enum hashes through
-    # Python code on every lookup; a bool does not.
-    chronological = mode is RMode.CHRONOLOGICAL
-    if not chronological and type(mode) is not RMode:
-        _check_mode(mode)
-    key = (u, v, chronological)
+    sym = _symbol(mode)
+    key = (u, v, sym)
     cached = _R_CACHE.get(key)
     if cached is not None:
         return cached
     g, rest = u.split_first()
     if rest.is_unit:
         # closed form: a single generator never builds the coproduct of v
-        result = _r_generator(g, v, mode)
+        result = _r_generator(g, v, sym)
     else:
         result = _poly_dots(
-            (None, c, _r_generator(g, v1, mode), r_bicharacter(rest, v2, mode))
+            (None, c, _r_generator(g, v1, sym), r_bicharacter(rest, v2, mode))
             for v1, v2, c in _coproduct_by_power(v)[g.power]
         ).get(None, PropPoly.zero())
     _R_CACHE[key] = result
@@ -138,7 +136,7 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     of their coproducts: ``a2 b2`` gains ``ca cb R(a1, b1) pu pv``, with the
     product ``pu pv`` of the two coefficients formed once per monomial pair.
     """
-    _check_mode(mode)
+    _symbol(mode)  # a bad mode raises even when there is nothing to pair
     pairs = [
         (_coproduct_by_power(mu), _coproduct_by_power(mv), pu * pv)
         for mu, pu in u.terms.items()
@@ -159,7 +157,7 @@ def _chronological_monomial(mono: Monomial) -> Element:
         return Element.from_monomial(mono)
     rest, last = mono.split_last()
     return twisted_product(
-        _chronological_monomial(rest), Element.from_generator(last), RMode.CHRONOLOGICAL
+        _chronological_monomial(rest), Element.from_generator(last), _CHRONOLOGICAL
     )
 
 
@@ -174,7 +172,7 @@ def chronological(
     mode, where the twisted product is commutative and the fold does not
     depend on the factor order.
     """
-    if mode is not RMode.CHRONOLOGICAL:
+    if _symbol(mode) is not D:
         raise ModeError(
             "the chronological product requires the commutative (feynman) mode"
         )
@@ -194,7 +192,7 @@ def t_monomial(mono: Monomial) -> PropPoly:
 
 def t_functional(u: Element | Monomial, mode: RMode = RMode.CHRONOLOGICAL) -> PropPoly:
     """Vacuum expectation of the chronological product, extended linearly."""
-    if mode is not RMode.CHRONOLOGICAL:
+    if _symbol(mode) is not D:
         raise ModeError("t is defined through the chronological product only")
     if isinstance(u, Monomial):
         return t_monomial(u)
@@ -229,7 +227,7 @@ def t_expansion_identity(u: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Eleme
     Returns the common value; raises :class:`IdentityViolation` carrying
     both sides if they differ (which would signal an implementation bug).
     """
-    if mode is not RMode.CHRONOLOGICAL:
+    if _symbol(mode) is not D:
         raise ModeError("the expansion identity lives in chronological mode")
     return _expansion_identity(
         chronological(u), u, monomial_coproduct, t_monomial, "T(u) != sum t(u')u''"

@@ -244,13 +244,25 @@ def _term_str(coeff: PropPoly, body: str, times: str) -> str:
     return f"({coeff}){times}{body}"
 
 
+def _poly_coeffs(terms: Mapping) -> dict:
+    """``terms`` without zeros, each coefficient a :class:`PropPoly`: an
+    ``int`` or ``Fraction`` is read through :meth:`PropPoly.constant`."""
+    out = {}
+    for key, c in terms.items():
+        if type(c) is not PropPoly and not isinstance(c, PropPoly):
+            c = PropPoly.constant(c)
+        if c:
+            out[key] = c
+    return out
+
+
 class Element:
     """A finite PropPoly-linear combination of monomials."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, PropPoly] | None = None):
-        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+        self.terms = _poly_coeffs(terms) if terms else {}
 
     @classmethod
     def _raw(cls, terms: dict) -> "Element":
@@ -277,7 +289,6 @@ class Element:
 
     @classmethod
     def scalar(cls, value) -> "Element":
-        value = value if isinstance(value, PropPoly) else PropPoly.constant(value)
         return cls({_UNIT: value})
 
     def __add__(self, other):
@@ -355,7 +366,7 @@ class Tensor:
         if any(len(slots) != arity for slots in terms):
             raise ValueError("slot tuple does not match tensor arity")
         self.arity = arity
-        self.terms = {s: c for s, c in terms.items() if c}
+        self.terms = _poly_coeffs(terms)
 
     @classmethod
     def _raw(cls, arity: int, terms: dict) -> "Tensor":

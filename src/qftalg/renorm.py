@@ -100,8 +100,10 @@ class Vertex:
         ``from``/``to`` list that is not an array of objects, a missing
         field, a point or a coefficient that is not a string, a point that
         the expression grammar's ``point`` rule rejects, a power that is not
-        an integer >= 1, a multiplicity that is not an integer >= 0, a zero
-        denominator.
+        an integer >= 1, a multiplicity that is not an integer >= 0, a
+        ``from`` that is the unit monomial (no block of a set partition is,
+        so the rule could never apply), a coefficient that does not read
+        ``p/q`` or an integer, a zero denominator.
         """
         rules: dict[Monomial, Element] = {}
         for entry in _objects(json.loads(text), "vertex file"):
@@ -119,6 +121,8 @@ class Vertex:
                 )
                 for t in _objects(_field(entry, "to", "vertex file"), "to")
             )
+            if source.is_unit:
+                raise ValueError('"from" must hold a generator with mult >= 1')
             if source in rules:
                 raise ValueError(f"duplicate vertex rule for {source}")
             rules[source] = image

@@ -34,6 +34,7 @@ threads; every operation is a pure function returning a new value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from threading import Lock
 from typing import Iterable, Mapping, NamedTuple
@@ -90,9 +91,16 @@ def frac_str(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_FRAC_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_frac(text: str) -> Fraction:
     """Inverse of :func:`frac_str`; also accepts a bare integer string.
-    A zero denominator raises :class:`ValueError`, like any malformed text."""
+    Any other text (a decimal point, an exponent, a sign other than a
+    leading ``-``, spaces or underscores) or a zero denominator raises
+    :class:`ValueError`."""
+    if not _FRAC_RE.fullmatch(text):
+        raise ValueError(f"rational must read p/q or an integer, got {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

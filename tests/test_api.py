@@ -127,7 +127,7 @@ def test_accumulate_is_called_only_at_the_merges():
 # A pure function of monomials is memoised by functools.cache; a module-level
 # dict stays only where it stores more than one entry per call (the coproducts
 # keep each monomial they grow from), keys on a reduced argument (the
-# bicharacter reads its mode as a bool) or interns under a lock.
+# bicharacter reads its mode as its propagator) or interns under a lock.
 CACHE_DICTS = {
     "coqts._R_CACHE", "hopf._DELTA_CACHE", "hopf._DELTA_PRIME_CACHE", "hopf._MONOMIAL_CACHE",
     "scalar._SYMMAP_CACHE", "scalar._SYMMAP_PRODUCT_CACHE",

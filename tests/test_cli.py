@@ -488,6 +488,18 @@ class TestExitCodes:
             json.dumps([{"from": source, "to": [dict(target[0], coeff=2)]}]): (
                 "coeff must be a string, got 2"
             ),
+            # and only "p/q" or an integer: Fraction() also read decimals
+            json.dumps([{"from": source, "to": [dict(target[0], coeff="0.5")]}]): (
+                "rational must read p/q or an integer, got '0.5'"
+            ),
+            # a unit "from" is no block of a set partition: the rule never
+            # applied and TR ran as if it were absent
+            json.dumps([{"from": [], "to": target}]): (
+                '"from" must hold a generator with mult >= 1'
+            ),
+            json.dumps([{"from": [dict(source[0], mult=0)], "to": target}]): (
+                '"from" must hold a generator with mult >= 1'
+            ),
         }
         bad = tmp_path / "vertex.json"
         for text, message in cases.items():

@@ -290,6 +290,35 @@ class TestModeMembers:
             with pytest.raises(ModeError):
                 r_generators(Generator("x", 1), Generator("y", 2), mode)
 
+    # the chronological-only entry points named the string's own mode as the
+    # one they require: chronological(u, "feynman") asked for "feynman"
+    def test_string_mode_is_not_a_member_in_chronological_only_calls(self):
+        u = phi("x") * phi("y")
+        for mode in ("feynman", "wightman", None, True):
+            with pytest.raises(ModeError, match="RMode member"):
+                chronological(u, mode)
+            with pytest.raises(ModeError, match="RMode member"):
+                t_functional(u, mode)
+            with pytest.raises(ModeError, match="RMode member"):
+                t_expansion_identity(u, mode)
+
+    def test_operator_mode_keeps_each_gate_message(self):
+        u = phi("x") * phi("y")
+        with pytest.raises(ModeError, match="chronological product requires"):
+            chronological(u, RMode.OPERATOR)
+        with pytest.raises(ModeError, match="t is defined through"):
+            t_functional(u, RMode.OPERATOR)
+        with pytest.raises(ModeError, match="expansion identity lives"):
+            t_expansion_identity(u, RMode.OPERATOR)
+
+    def test_generator_pairing_is_the_bicharacter_of_one_generator_monomials(self):
+        gens = [Generator(p, n) for p in ("x", "y") for n in (1, 2, 3)]
+        for mode in BOTH_MODES:
+            for g, h in itertools.product(gens, repeat=2):
+                assert r_generators(g, h, mode) == r_bicharacter(
+                    Monomial.of(g), Monomial.of(h), mode
+                )
+
 
 class TestTFunctional:
     def test_unit(self):

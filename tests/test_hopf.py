@@ -425,6 +425,23 @@ def test_element_with_poly_coefficients():
     assert coproduct(u).counit_slot(0).element() == u
 
 
+def test_constructors_read_plain_coefficients_as_constants():
+    # an int or Fraction coefficient used to be stored as it was, so str()
+    # and to_json() raised on it while == still held
+    m = mono(("x", 1))
+    cases = [
+        (Element.from_monomial(m, 2), Element.from_monomial(m, PropPoly.constant(2))),
+        (Element({m: Fraction(1, 2)}), Element({m: PropPoly.constant(Fraction(1, 2))})),
+        (Tensor(2, {(m, m): 3}), Tensor(2, {(m, m): PropPoly.constant(3)})),
+    ]
+    for got, twin in cases:
+        assert str(got) == str(twin)
+        assert got.to_json() == twin.to_json()
+        assert got == twin
+        assert all(type(c) is PropPoly for c in got.terms.values())
+    assert Element({m: 0}).terms == Tensor(2, {(m, m): Fraction(0)}).terms == {}
+
+
 def test_monomial_json():
     m = mono(("x", 3), ("y", 1), ("x", 3))
     assert m.to_json() == [

@@ -120,6 +120,16 @@ def test_frac_str_round_trip():
     assert frac_str(Fraction(2)) == "2/1"
     assert parse_frac("2/1") == 2
     assert parse_frac("-3/4") == Fraction(-3, 4)
+    assert parse_frac("7") == 7
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e-3", "1e9", "1e3000000", "1_000", " 1/2 ", "+3",
+                                  "1/-2", "", "1/2\n"])
+def test_parse_frac_accepts_only_p_over_q_or_an_integer(text):
+    # Fraction() read decimals, exponents (building a 3,000,000-digit
+    # integer for "1e3000000"), underscores, spaces and a leading "+"
+    with pytest.raises(ValueError, match="p/q or an integer"):
+        parse_frac(text)
 
 
 _symbols = [D(X, Y), D(X, Z), D(Y, Z), Dplus(X, Y), Dplus(Y, X)]
