@@ -9,14 +9,18 @@ sub-monomial ``m_B``:
 
 where ``k`` is the number of blocks of ``pi`` and ``O`` is a pluggable
 generalized vertex (a linear map from the algebra into the span of single
-generators).  Both are one :func:`_partition_sum` under a weight of
-``k``.  ``T_c`` is the logarithm of ``T`` over the partition lattice,
+generators).  ``T_c`` is the logarithm of ``T`` over the partition lattice,
 whose Moebius function gives its weights (Rota, "On the foundations of
-combinatorial theory I", 1964); ``T_R = T o O^`` is ``T`` after the
-exponential ``O^`` of ``O``.  The same sums arise from the ordered iterates of
-the reduced partition coproduct, with weights ``(-1)^(n+1)/n`` and
-``1/n!``: each k-block partition appears there once per ordering of its
-blocks.  Products between the ``T(...)`` factors are normal products.
+combinatorial theory I", 1964).  :func:`connected_T` does not sum those
+partitions: grouping them by the block of the first occurrence gives the
+moment-cumulant recursion (Rota and Shen, "On the combinatorics of
+cumulants", J. Combin. Theory A 91, 2000), one product per split of the
+partition coproduct.  ``T_R = T o O^`` is ``T`` after the exponential
+``O^`` of ``O``, the one :func:`_partition_sum`.  The same sums arise from
+the ordered iterates of the reduced partition coproduct, with weights
+``(-1)^(n+1)/n`` and ``1/n!``: each k-block partition appears there once
+per ordering of its blocks.  Products between the ``T(...)`` factors are
+normal products.
 The scalar part ``t_c(m)`` has one route, the sum over the connected
 Feynman graphs of ``m`` (:func:`~qftalg.graphs.t_connected_via_graphs`);
 the counit of ``T_c`` is its independent check.
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 import json
 from functools import cache, reduce
-from math import factorial
+from itertools import chain
 from operator import mul
 from typing import Mapping
 
@@ -201,7 +205,7 @@ def _reduced_partition_terms(u: Element):
     the k-slot tensor of the set partitions of the monomials of ``u`` into
     k blocks, each weighted by its coefficient in ``u`` times its
     labelled count.  (The name is older than the set-partition sums;
-    ``wickbench/tracer.py`` counts the terms renorm sums through it.)"""
+    ``wickbench/tracer.py`` counts the terms of ``O^`` through it.)"""
     by_count: dict[int, list] = {}
     for mono, coeff in u.terms.items():
         for blocks, n in _partitions(mono).items():
@@ -210,27 +214,48 @@ def _reduced_partition_terms(u: Element):
         yield k, Tensor._raw(k, _poly_dots(by_count[k]))
 
 
-def _mobius(k: int) -> int:
-    """``(-1)^(k-1) (k-1)!``: the weight of a k-block partition in the
-    logarithm over the partition lattice."""
-    return (-1) ** (k - 1) * factorial(k - 1)
-
-
-def _partition_sum(u: Element, block, weight) -> Element:
-    """``sum_pi weight(k) prod_B block(m_B)`` over the set partitions of the
-    monomials of ``u``, in one multiply-accumulate; the integer weight of
-    the block count ``k`` scales each partition's coefficient."""
+def _partition_sum(u: Element, block) -> Element:
+    """``sum_pi prod_B block(m_B)`` over the set partitions of the monomials
+    of ``u``, in one multiply-accumulate: ``O^(u)`` for ``block = O``."""
     return Element._raw(_poly_dots(
-        (mono, weight(k), c, coeff)
-        for k, tensor in _reduced_partition_terms(u)
+        (mono, 1, c, coeff)
+        for _, tensor in _reduced_partition_terms(u)
         for slots, c in tensor.terms.items()
         for mono, coeff in reduce(mul, map(block, slots)).terms.items()
     ))
 
 
 def connected_T(u: Element, strict: bool = True) -> Element:
-    """The connected chronological product on the counit kernel."""
-    return _partition_sum(kernel_project(u, strict), chronological, _mobius)
+    """The connected chronological product on the counit kernel.
+
+    On a monomial ``m = g * rest``, ``g`` its first occurrence, the block of
+    ``g`` in a set partition is ``g * L`` for a split ``(L, R)`` of ``rest``
+    and the other blocks partition ``R``, so ``T(m) = sum c T_c(g L) T(R)``
+    over the partition coproduct of ``rest``.  The term ``R = 1`` is
+    ``T_c(m)`` itself; the others give the recursion
+    ``T_c(m) = T(m) - sum_{R != 1} c T_c(g L) T(R)``.  Each sub-monomial
+    ``g L`` is computed once per call.
+    """
+    memo: dict[Monomial, Element] = {}
+
+    def connected_monomial(mono: Monomial) -> Element:
+        out = memo.get(mono)
+        if out is None:
+            g, rest = mono.split_first()
+            out = memo[mono] = Element._raw(_poly_dots(chain(
+                ((m, 1, 1, coeff) for m, coeff in chronological(mono).terms.items()),
+                (
+                    (m1 * m2, -c, c1, c2)
+                    for (left, right), c in monomial_coproduct_prime(rest)
+                    if not right.is_unit
+                    for m1, c1 in connected_monomial(left.append(g)).terms.items()
+                    for m2, c2 in chronological(right).terms.items()
+                ),
+            )))
+        return out
+
+    u = kernel_project(u, strict)
+    return _linear_sum((coeff, connected_monomial(mono)) for mono, coeff in u.terms.items())
 
 
 def t_c_functional(u: Element | Monomial, strict: bool = True) -> PropPoly:
@@ -278,4 +303,4 @@ def renormalized_T(u: Element, vertex: Vertex, strict: bool = True) -> Element:
     ``T_R = T o O^``: ``T``, which is linear, applied once to the weight-1
     partition sum ``O^`` of the products of the vertex images of the blocks.
     """
-    return chronological(_partition_sum(kernel_project(u, strict), vertex.image, lambda k: 1))
+    return chronological(_partition_sum(kernel_project(u, strict), vertex.image))

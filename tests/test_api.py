@@ -160,7 +160,7 @@ def test_cached_functions_hit_on_a_repeated_call():
         (coqts._coproduct_by_power, lambda: qftalg.twisted_product(u, u, qftalg.RMode.OPERATOR)),
         (coqts._chronological_monomial, lambda: qftalg.chronological(m)),
         (renorm._t_c_word, lambda: qftalg.comodule_expansion_check(u)),
-        (renorm._partitions, lambda: qftalg.connected_T(u)),
+        (renorm._partitions, lambda: qftalg.renormalized_T(u, qftalg.identity_vertex())),
     ]
     for fn, call in calls:
         call()

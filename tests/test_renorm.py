@@ -303,9 +303,8 @@ def definitional_T_c(u):
 
 
 class TestConnectedTDefinition:
-    """``connected_T`` sums over unordered set partitions with the Moebius
-    weights ``(-1)^(k-1)(k-1)!``, and ``t_c`` sums the same series over
-    scalars; both must equal the literal ordered series."""
+    """``connected_T`` runs the first-block recursion and ``t_c`` sums the
+    connected graphs; both must equal the literal ordered series."""
 
     def check(self, u):
         expected = definitional_T_c(u)
@@ -359,6 +358,54 @@ class TestExponentialFormula:
                 blocks = tuple(sorted(Monomial.from_occurrences(b) for b in partition))
                 expected[blocks] = expected.get(blocks, 0) + 1
             assert renorm._partitions(m) == expected, str(m)
+
+
+# 5-6 occurrences with repeated generators and mixed powers: the
+# first-block recursion meets equal sub-monomials along different splits.
+# The first has too few legs to connect its five vertices, so T_c is 0.
+RECURSION_SHAPES = [
+    mono(("x", 1), ("x", 1), ("y", 2), ("z", 1), ("z", 1)),
+    mono(("x", 2), ("x", 2), ("y", 1), ("z", 3), ("z", 1)),
+    mono(("x", 1), ("x", 2), ("x", 2), ("y", 1), ("y", 3)),
+    mono(("x", 1), ("x", 1), ("y", 2), ("y", 2), ("z", 2), ("z", 3)),
+    mono(("x", 2), ("y", 1), ("y", 1), ("y", 2), ("z", 2), ("z", 2)),
+]
+
+
+def mobius_T_c(m):
+    """``sum_pi (-1)^(k-1) (k-1)! T(m_B1)...T(m_Bk)`` over the labelled set
+    partitions of the occurrences of ``m``, one product per partition."""
+    total = Element.zero()
+    for partition in set_partitions(list(m.occurrences())):
+        k = len(partition)
+        product = Element.one()
+        for block in partition:
+            product = product * chronological(Monomial.from_occurrences(block))
+        total = total + ((-1) ** (k - 1) * factorial(k - 1)) * product
+    return total
+
+
+class TestConnectedTRecursion:
+    """The first-block recursion against the logarithm over the labelled
+    partition lattice, the distinct-field closed forms and the graph sum."""
+
+    def test_matches_mobius_sum_over_labelled_partitions(self):
+        for i, m in enumerate(RECURSION_SHAPES):
+            expected = mobius_T_c(m)
+            assert bool(expected) == (i > 0), str(m)
+            assert connected_T(Element.from_monomial(m)) == expected, str(m)
+
+    def test_distinct_fields_beyond_two_vanish(self):
+        # no graph on n >= 3 single legs is connected (n = 2 gives the one
+        # edge of TestConnectedT.test_two_fields)
+        points = [f"x{i}" for i in range(1, 11)]
+        for n in range(3, 11):
+            m = Monomial.from_occurrences(Generator(p, 1) for p in points[:n])
+            assert not connected_T(Element.from_monomial(m)), n
+
+    def test_counit_is_the_graph_sum_on_seven_squares(self):
+        m = Monomial.from_occurrences(Generator(f"x{i}", 2) for i in range(1, 8))
+        assert connected_T(Element.from_monomial(m)).counit() == t_c_functional(m)
 
 
 def definitional_T_R(u, vertex):
