@@ -11,16 +11,15 @@ where ``k`` is the number of blocks of ``pi`` and ``O`` is a pluggable
 generalized vertex (a linear map from the algebra into the span of single
 generators).  ``T_c`` is the logarithm of ``T`` over the partition lattice,
 whose Moebius function gives its weights (Rota, "On the foundations of
-combinatorial theory I", 1964).  :func:`connected_T` does not sum those
-partitions: grouping them by the block of the first occurrence gives the
-moment-cumulant recursion (Rota and Shen, "On the combinatorics of
-cumulants", J. Combin. Theory A 91, 2000), one product per split of the
-partition coproduct.  ``T_R = T o O^`` is ``T`` after the exponential
-``O^`` of ``O``, the one :func:`_partition_sum`.  The same sums arise from
-the ordered iterates of the reduced partition coproduct, with weights
-``(-1)^(n+1)/n`` and ``1/n!``: each k-block partition appears there once
-per ordering of its blocks.  Products between the ``T(...)`` factors are
-normal products.
+combinatorial theory I", 1964), and ``T_R = T o O^`` is ``T`` after the
+exponential ``O^`` of ``O``.  Neither sum is formed partition by
+partition: grouping the partitions by the block ``g L`` of the first
+occurrence ``g`` of ``m = g rest`` gives, over the splits ``(L, R)`` of
+the partition coproduct of ``rest``, the moment-cumulant recursion for
+``T_c`` (Rota and Shen, "On the combinatorics of cumulants", J. Combin.
+Theory A 91, 2000) and ``O^(m) = sum c O(g L) O^(R)`` for ``O^``, one
+product per split.  Products between the ``T(...)`` factors are normal
+products.
 The scalar part ``t_c(m)`` has one route, the sum over the connected
 Feynman graphs of ``m`` (:func:`~qftalg.graphs.t_connected_via_graphs`);
 the counit of ``T_c`` is its independent check.
@@ -40,9 +39,8 @@ checks the expansion on every element of the counit kernel.
 from __future__ import annotations
 
 import json
-from functools import cache, reduce
+from functools import cache
 from itertools import chain
-from operator import mul
 from typing import Mapping
 
 from .coqts import _expansion_identity, chronological
@@ -189,7 +187,12 @@ def _partitions(mono: Monomial) -> dict:
     that give it.  The block of the first occurrence ``g`` is ``g`` times
     the left side of each partition-coproduct split of the rest, whose
     coefficient counts the labelled choices; the right side is partitioned
-    in turn.  The dict is cached: callers read it and never change it."""
+    in turn.  The dict is cached: callers read it and never change it.
+
+    Only :func:`_reduced_partition_terms` calls this, and nothing in
+    qftalg calls that: ``wickbench/tracer.py`` is their only reader, and
+    it wraps the latter by name.  Both are deleted once the benchmark
+    stops wrapping library functions by name (ROADMAP item 1)."""
     if mono.is_unit:
         return {(): 1}
     g, rest = mono.split_first()
@@ -204,25 +207,14 @@ def _reduced_partition_terms(u: Element):
     """Yield ``(k, tensor)`` for each block count k, in increasing order:
     the k-slot tensor of the set partitions of the monomials of ``u`` into
     k blocks, each weighted by its coefficient in ``u`` times its
-    labelled count.  (The name is older than the set-partition sums;
-    ``wickbench/tracer.py`` counts the terms of ``O^`` through it.)"""
+    labelled count.  Kept only for ``wickbench/tracer.py``, which wraps it
+    by name (see :func:`_partitions`)."""
     by_count: dict[int, list] = {}
     for mono, coeff in u.terms.items():
         for blocks, n in _partitions(mono).items():
             by_count.setdefault(len(blocks), []).append((blocks, n, 1, coeff))
     for k in sorted(by_count):
         yield k, Tensor._raw(k, _poly_dots(by_count[k]))
-
-
-def _partition_sum(u: Element, block) -> Element:
-    """``sum_pi prod_B block(m_B)`` over the set partitions of the monomials
-    of ``u``, in one multiply-accumulate: ``O^(u)`` for ``block = O``."""
-    return Element._raw(_poly_dots(
-        (mono, 1, c, coeff)
-        for _, tensor in _reduced_partition_terms(u)
-        for slots, c in tensor.terms.items()
-        for mono, coeff in reduce(mul, map(block, slots)).terms.items()
-    ))
 
 
 def connected_T(u: Element, strict: bool = True) -> Element:
@@ -300,7 +292,29 @@ def comodule_expansion_check(u: Element, strict: bool = True) -> Element:
 def renormalized_T(u: Element, vertex: Vertex, strict: bool = True) -> Element:
     """The renormalized chronological product with generalized vertex ``O``.
 
-    ``T_R = T o O^``: ``T``, which is linear, applied once to the weight-1
-    partition sum ``O^`` of the products of the vertex images of the blocks.
+    ``T_R = T o O^``: ``T``, which is linear, applied once to ``O^``, the sum
+    over the set partitions of each monomial of the products of the vertex
+    images of the blocks.  On ``m = g * rest``, ``g`` its first occurrence,
+    the block of ``g`` is ``g * L`` for a split ``(L, R)`` of ``rest`` and
+    the other blocks partition ``R``, so ``O^(m) = sum c O(g L) O^(R)`` over
+    the partition coproduct of ``rest``, with ``O^(1) = 1``.  Each
+    sub-monomial ``R`` is computed once per call.
     """
-    return chronological(_partition_sum(kernel_project(u, strict), vertex.image))
+    memo: dict[Monomial, Element] = {Monomial.unit(): Element.one()}
+
+    def vertex_exponential(mono: Monomial) -> Element:
+        out = memo.get(mono)
+        if out is None:
+            g, rest = mono.split_first()
+            out = memo[mono] = Element._raw(_poly_dots(
+                (m1 * m2, c, c1, c2)
+                for (left, right), c in monomial_coproduct_prime(rest)
+                for m1, c1 in vertex.image(left.append(g)).terms.items()
+                for m2, c2 in vertex_exponential(right).terms.items()
+            ))
+        return out
+
+    u = kernel_project(u, strict)
+    return chronological(
+        _linear_sum((coeff, vertex_exponential(mono)) for mono, coeff in u.terms.items())
+    )

@@ -160,7 +160,7 @@ def test_cached_functions_hit_on_a_repeated_call():
         (coqts._coproduct_by_power, lambda: qftalg.twisted_product(u, u, qftalg.RMode.OPERATOR)),
         (coqts._chronological_monomial, lambda: qftalg.chronological(m)),
         (renorm._t_c_word, lambda: qftalg.comodule_expansion_check(u)),
-        (renorm._partitions, lambda: qftalg.renormalized_T(u, qftalg.identity_vertex())),
+        (renorm._partitions, lambda: renorm._partitions(m)),
     ]
     for fn, call in calls:
         call()
@@ -169,3 +169,19 @@ def test_cached_functions_hit_on_a_repeated_call():
         after = fn.cache_info()
         assert after.misses == before.misses, fn.__name__
         assert after.hits > before.hits, fn.__name__
+
+
+# wickbench/tracer.py reads these names when it wraps the library, so
+# deleting one breaks every traced benchmark run while the rest of tier-1
+# passes.  ROADMAP item 1 retires this test: its benchmark change makes
+# the tracer read counters and a cache registry instead.
+TRACER_READS = (
+    "coqts._R_CACHE", "hopf._DELTA_CACHE", "hopf._DELTA_PRIME_CACHE",
+    "renorm._reduced_partition_terms",
+)
+
+
+def test_names_the_benchmark_tracer_reads_resolve():
+    for dotted in TRACER_READS:
+        module, name = dotted.split(".")
+        assert hasattr(importlib.import_module(f"qftalg.{module}"), name), dotted

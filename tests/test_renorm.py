@@ -466,6 +466,62 @@ class TestRenormalizedTDefinition:
             assert renormalized_T(u, vertex) == definitional_T_R(u, vertex)
 
 
+# Every generator of RECURSION_SHAPES has an image, and so do pairs and a
+# triple inside the shapes: the recursion reaches each of those blocks as
+# the first block of several different sub-monomials O^(R).
+COMPOSITE_RULES = {
+    mono(("x", 1)): Fraction(1, 2) * phi("x"),
+    mono(("x", 2)): phi("x", 2) - 3 * phi("y"),
+    mono(("y", 1)): -1 * phi("y", 2),
+    mono(("y", 2)): 2 * phi("z"),
+    mono(("y", 3)): phi("y", 3),
+    mono(("z", 1)): Fraction(-2, 3) * phi("z"),
+    mono(("z", 2)): phi("x") + phi("z", 2),
+    mono(("z", 3)): 3 * phi("y"),
+    mono(("x", 1), ("x", 1)): 3 * phi("x", 2),
+    mono(("y", 1), ("y", 1)): Fraction(5, 2) * phi("y", 2),
+    mono(("z", 1), ("z", 1)): -1 * phi("z", 2),
+    mono(("z", 2), ("z", 2)): 2 * phi("z"),
+    mono(("y", 2), ("z", 1)): Fraction(1, 3) * phi("y"),
+    mono(("x", 2), ("z", 3)): phi("x"),
+    mono(("y", 2), ("z", 2)): phi("x", 2) + phi("y"),
+    mono(("y", 2), ("z", 1), ("z", 1)): 2 * phi("x", 2),
+}
+
+
+class TestRenormalizedTRecursion:
+    """The first-block recursion for ``O^`` against the ordered series, on
+    5-6 occurrences with composite rules, shared sub-monomials and the
+    zero vertex."""
+
+    def test_matches_ordered_series_with_composite_rules(self):
+        vertex = Vertex(COMPOSITE_RULES)
+        for m in RECURSION_SHAPES:
+            u = Element.from_monomial(m)
+            expected = definitional_T_R(u, vertex)
+            assert expected, str(m)
+            assert renormalized_T(u, vertex) == expected, str(m)
+
+    def test_two_monomials_sharing_sub_monomials(self):
+        # the second monomial is the first without one x: the values of the
+        # sub-monomials of one call serve both
+        u = Fraction(-3, 2) * Element.from_monomial(RECURSION_SHAPES[0]) + d("x", "z") * (
+            Element.from_monomial(mono(("x", 1), ("y", 2), ("z", 1), ("z", 1)))
+        )
+        for vertex in (identity_vertex(), Vertex(COMPOSITE_RULES)):
+            expected = definitional_T_R(u, vertex)
+            assert expected
+            assert renormalized_T(u, vertex) == expected
+
+    def test_zero_vertex_gives_zero(self):
+        u = Element.from_monomial(RECURSION_SHAPES[1]) + 2 * Element.from_monomial(
+            RECURSION_SHAPES[3]
+        )
+        assert not renormalized_T(u, zero_vertex())
+        for m in RECURSION_SHAPES:
+            assert not renormalized_T(Element.from_monomial(m), zero_vertex()), str(m)
+
+
 def symbol_combinations(rng, members, count):
     """``count`` combinations ``D(x1,x2) a + (1/2 D(x2,x3)^2 - 2/3) b`` of two
     members, so that the partition coefficients are polynomials."""
