@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qftalg import graphs
 from qftalg.errors import UnsupportedFormat
 from qftalg.graphs import (
     AdjacencyTerm,
@@ -35,6 +36,9 @@ class TestDegreeSequence:
         (("x1", "x2"), (1,), "equal length"),
         ((), (), "at least one vertex"),
         (("x1", "x2"), (1, 0), "degrees must be >= 1"),
+        (("x", "y", "z"), (1.5, 1.5, 1.0), "degrees must be integers"),
+        (("x1", "x2"), (2, 2.0), "degrees must be integers"),
+        (("x1", "x2"), (True, True), "degrees must be integers"),
     ])
     def test_rejects_bad_vertex_data(self, points, degrees, message):
         with pytest.raises(ValueError, match=message):
@@ -75,10 +79,19 @@ class TestEnumeration:
         assert len(set(encodings)) == len(encodings)
 
     def test_margins_hold(self):
-        seq = DegreeSequence(("x", "y", "z"), (3, 2, 1))
-        for term in enumerate_adjacency(seq):
-            for i, degree in enumerate(seq.degrees):
-                assert sum(term.matrix[i]) == degree
+        # symmetry, zero diagonal and exact margins of every record
+        seqs = [DegreeSequence(("x", "y", "z"), (3, 2, 1))] + [
+            DegreeSequence.from_monomial(u.sorted_terms()[0][0])
+            for u in exhaustive_monomials(4, 3, include_unit=False)
+        ]
+        for seq in seqs:
+            p = len(seq.degrees)
+            for term in enumerate_adjacency(seq):
+                assert len(term.matrix) == p
+                for i, degree in enumerate(seq.degrees):
+                    assert term.matrix[i][i] == 0, term
+                    assert sum(term.matrix[i]) == degree, term
+                    assert all(term.matrix[i][j] == term.matrix[j][i] for j in range(p)), term
 
     def test_weights_are_integers(self):
         # n_1!...n_p! / prod_{i<j} m_ij!, recomputed from each matrix
@@ -167,6 +180,8 @@ class TestExport:
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormat):
             export_graphs(mono(("x", 1), ("y", 1)), format="xml")
+        with pytest.raises(UnsupportedFormat):
+            export_graphs(mono(("x", 1), ("y", 1)), format=3)
 
     def test_dot_two_vertices(self):
         text = export_graphs(mono(("x1", 1), ("x2", 1)), format="dot")
@@ -228,3 +243,36 @@ class TestExport:
                 powers.append((D(a, b), edge["mult"]))
             total = total + PropPoly.from_symbol_powers(powers, Fraction(record["weight"]))
         assert total == t_via_graphs(m)
+
+
+class TestWalkAgainstRecords:
+    """The sums and the export read the graph walk directly; they must agree
+    with the public records and build none of them."""
+
+    MONOMIALS = [u.sorted_terms()[0][0] for u in exhaustive_monomials(4, 3, include_unit=False)]
+
+    def test_connected_sum_and_flags_match_the_records(self):
+        for m in self.MONOMIALS:
+            terms = enumerate_adjacency(DegreeSequence.from_monomial(m))
+            connected = [is_connected(t) for t in terms]
+            expected = sum((t.scalar for t, c in zip(terms, connected) if c), PropPoly.zero())
+            assert t_connected_via_graphs(m) == expected, str(m)
+            records = json.loads(export_graphs(m, format="json"))["graphs"]
+            assert [r["connected"] for r in records] == connected, str(m)
+
+    def test_sums_and_export_build_no_record(self, monkeypatch):
+        def outputs():
+            return [
+                (t_via_graphs(m), t_connected_via_graphs(m), export_graphs(m, format="json"),
+                 export_graphs(m, connected_only=True, format="dot"))
+                for m in self.MONOMIALS
+            ]
+
+        def refuse(*args):
+            raise AssertionError("AdjacencyTerm built outside enumerate_adjacency")
+
+        expected = outputs()
+        monkeypatch.setattr(graphs, "AdjacencyTerm", refuse)
+        assert outputs() == expected
+        with pytest.raises(AssertionError, match="outside enumerate_adjacency"):
+            enumerate_adjacency(DegreeSequence.from_monomial(self.MONOMIALS[-1]))

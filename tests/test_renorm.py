@@ -285,16 +285,32 @@ def seeded_combinations(rng, members, count):
         yield Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) * u + Fraction(-2, 3) * v
 
 
+def grouped_iterate(u, n):
+    """The n-th reduced-partition iterate with its ordered tuples grouped by
+    their sorted block tuple and the coefficients summed; ``None`` once the
+    iterate vanishes.  The product in S(C) is commutative, so every tuple of
+    a group has the same product of blocks."""
+    iterate = reduced_prime_iter(u, n)
+    if not iterate:
+        return None
+    groups = {}
+    for slots, c in iterate.terms.items():
+        key = tuple(sorted(slots))
+        groups[key] = groups[key] + c if key in groups else c
+    return groups
+
+
 def definitional_T_c(u):
     """``sum_n (-1)^(n+1)/n sum c T(u_1)...T(u_n)`` over the ordered tuples
-    of the (n-1)-st reduced-partition iterate, one product per tuple."""
+    of the (n-1)-st reduced-partition iterate, one product per distinct
+    block tuple."""
     total = Element.zero()
     n = 1
     while True:
-        iterate = reduced_prime_iter(u, n - 1)
-        if not iterate:
+        groups = grouped_iterate(u, n - 1)
+        if groups is None:
             return total
-        for slots, c in iterate.terms.items():
+        for slots, c in groups.items():
             product = Element.one()
             for s in slots:
                 product = product * chronological(s)
@@ -410,14 +426,15 @@ class TestConnectedTRecursion:
 
 def definitional_T_R(u, vertex):
     """``sum_n 1/n! sum c T(O(u_1)...O(u_n))`` over the ordered tuples of
-    the (n-1)-st reduced-partition iterate, one ``T`` per tuple."""
+    the (n-1)-st reduced-partition iterate, one ``T`` per distinct block
+    tuple."""
     total = Element.zero()
     n = 1
     while True:
-        iterate = reduced_prime_iter(u, n - 1)
-        if not iterate:
+        groups = grouped_iterate(u, n - 1)
+        if groups is None:
             return total
-        for slots, c in iterate.terms.items():
+        for slots, c in groups.items():
             product = Element.one()
             for s in slots:
                 product = product * vertex.image(s)
