@@ -32,7 +32,8 @@ makes sure no monomial is ever built twice, also under threads.
 
 All values are immutable and all operations pure.  Products and antipodes
 of monomials are memoised by ``functools.cache``, the coproducts in dicts
-that also keep each monomial they grow from; every entry is idempotent, so
+that also keep each monomial they grow from (a walk capped in power keeps
+only the rests within its cap); every entry is idempotent, so
 concurrent use is safe.
 """
 
@@ -86,10 +87,11 @@ class Monomial:
     def __new__(cls, factors: Iterable[tuple[Generator, int]] = ()):
         acc: dict[Generator, int] = {}
         for gen, mult in factors:
+            if type(mult) is not int:
+                raise ValueError(f"multiplicities must be integers, got {mult!r}")
             if mult < 0:
                 raise ValueError("multiplicities must be nonnegative")
-            if gen.power < 1:
-                raise ValueError("generator powers must be >= 1")
+            _check_power(gen)
             if mult:
                 acc[gen] = acc.get(gen, 0) + mult
         return Monomial._raw(tuple(sorted(acc.items())))
@@ -125,8 +127,7 @@ class Monomial:
 
     @classmethod
     def of(cls, gen: Generator) -> "Monomial":
-        if gen.power < 1:
-            raise ValueError("generator powers must be >= 1")
+        _check_power(gen)
         return Monomial._raw(((gen, 1),))
 
     @property
@@ -151,10 +152,15 @@ class Monomial:
         return Monomial._raw(factors)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if self.is_unit:
+        # the factor tuples, not the is_unit property: this is the hottest
+        # call of the twisted product
+        if not self.factors:
             return other
-        if other.is_unit:
+        if not other.factors:
             return self
+        # interned and commutative: one cache entry per unordered pair
+        if id(other) < id(self):
+            return _monomial_product(other, self)
         return _monomial_product(self, other)
 
     def split_first(self) -> tuple[Generator, "Monomial"]:
@@ -190,6 +196,16 @@ class Monomial:
 _generator_of = itemgetter(0)
 
 
+def _check_power(gen: Generator) -> None:
+    # an equal float or bool power would be interned in place of the int
+    # one (Generator("x", 2.0) == Generator("x", 2)) and reach every later
+    # lookup of that monomial
+    if type(gen.power) is not int:
+        raise ValueError(f"generator powers must be integers, got {gen.power!r}")
+    if gen.power < 1:
+        raise ValueError("generator powers must be >= 1")
+
+
 #: factor tuple -> its one Monomial; a dict filled under a lock, so no monomial is built twice
 _MONOMIAL_CACHE: dict[tuple, Monomial] = {}
 _MONOMIAL_LOCK = Lock()
@@ -198,7 +214,8 @@ _UNIT = Monomial()
 
 @cache
 def _monomial_product(a: Monomial, b: Monomial) -> Monomial:
-    """The product of two non-unit monomials, merged once per ordered pair."""
+    """The product of two non-unit monomials, merged once per pair:
+    ``Monomial.__mul__`` orders the pair by ``id``."""
     return Monomial._raw(_merge_counts(a.factors, b.factors))
 
 
@@ -508,6 +525,8 @@ def normalize(raw_factors: Iterable[tuple[PointId, int]]) -> Monomial:
     """
     gens = []
     for point, power in raw_factors:
+        if type(power) is not int:
+            raise ValueError(f"field powers must be integers, got {power!r}")
         if power < 0:
             raise PowerError(power)
         if power == 0:
@@ -529,7 +548,12 @@ def counit(u: Element) -> PropPoly:
 _UNIT_SPLITS = (((_UNIT, _UNIT), 1),)
 
 
-def _grown(mono: Monomial, table: dict, split_generator: Callable[[Generator], tuple]) -> tuple:
+def _grown(
+    mono: Monomial,
+    table: dict,
+    split_generator: Callable[[Generator], tuple],
+    cap: int | None = None,
+) -> tuple:
     """Coproduct of a basis monomial, memoised in ``table``.
 
     ``split_generator(g)`` gives the ``(left, right, coefficient)`` triples
@@ -542,6 +566,13 @@ def _grown(mono: Monomial, table: dict, split_generator: Callable[[Generator], t
     the ``n`` tuples of its powers, which would hold ``n^2/2`` splits.
     The walk is a loop, not a recursion, so its depth is not the
     interpreter's recursion limit.
+
+    With a ``cap``, only the splits whose left side has total power at
+    most ``cap`` are kept.  A rest of total power at most ``cap`` keeps all
+    of its splits, so it is read from and stored in ``table`` as before.
+    Above the cap a split is dropped as soon as its left power passes the
+    cap, before its sides are built (growing only adds to the left power),
+    and nothing is stored: the caller keeps what it needs.
     """
     walked = []
     splits = table.get(mono)
@@ -552,16 +583,21 @@ def _grown(mono: Monomial, table: dict, split_generator: Callable[[Generator], t
         walked.append(mono)
         mono = Monomial._raw(mono.factors[1:])
         splits = table.get(mono)
+    if cap is not None and mono.total_power > cap:
+        splits = tuple(split for split in splits if split[0][0].total_power <= cap)
     for mono in reversed(walked):
         gen, mult = mono.factors[0]
         gen_splits = split_generator(gen)
+        fits = cap is None or mono.total_power <= cap
         for _ in range(mult):
             splits = tuple(_accumulate(
                 ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
                 for (left, right), c in splits
                 for g1, g2, k in gen_splits
+                if fits or g1 is None or left.total_power + g1.power <= cap
             ).items())
-        table[mono] = splits
+        if fits:
+            table[mono] = splits
     return splits
 
 

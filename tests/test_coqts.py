@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from qftalg.coqts import (
     twisted_product,
 )
 from qftalg.errors import IdentityViolation, ModeError
-from qftalg.hopf import Element, Generator, Monomial
+from qftalg.hopf import Element, Generator, Monomial, monomial_coproduct
 from qftalg.laws import exhaustive_monomials
 from qftalg.scalar import D, Dplus, PropPoly, poly_eval
 
@@ -230,6 +231,49 @@ class TestTwistedAgainstTables:
         for (a, ca), (b, cb) in itertools.product(u.terms.items(), v.terms.items()):
             expected = expected + (ca * cb) * twisted_tables(a, b, mode)
         assert got == expected
+
+
+# total power 1-3 against 6-9 over a shared point, with repeated
+# generators: the twisted product builds the larger side's coproduct only
+# up to the smaller total power
+SMALL_FAMILY = [
+    mono(("x", 1)),
+    mono(("x", 2)),
+    mono(("x", 1), ("x", 1)),
+    mono(("x", 1), ("y", 2)),
+    mono(("y", 1), ("y", 1), ("x", 1)),
+]
+LARGE_FAMILY = [
+    mono(("x", 3), ("x", 3)),
+    mono(("x", 2), ("y", 2), ("y", 2)),
+    mono(("x", 1), ("x", 1), ("y", 3), ("y", 2)),
+    mono(("y", 4), ("x", 2), ("x", 2)),
+    mono(("x", 3), ("x", 3), ("y", 3)),
+]
+
+
+class TestPowerCap:
+    def test_capped_buckets_are_the_low_power_splits(self):
+        # points no other test uses, and every cap before the full
+        # coproduct: the capped walks meet rests both missing from and
+        # already in the coproduct table
+        points = ("x1_cap", "x2_cap", "x3_cap")
+        monos = [m for e in exhaustive_monomials(3, 3, points) for m in e.terms]
+        for m in monos:
+            capped = [coqts._coproduct_by_power(m, cap) for cap in range(m.total_power + 1)]
+            full = monomial_coproduct(m)
+            for cap, buckets in enumerate(capped):
+                for power in range(m.total_power + 1):
+                    expected = Counter(s for s in full if s[0][0].total_power == power)
+                    got = Counter(buckets.get(power, ()))
+                    assert got == (expected if power <= cap else Counter()), (str(m), cap, power)
+
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_pairs_the_cap_prunes_against_tables(self, mode):
+        for small, large in itertools.product(SMALL_FAMILY, LARGE_FAMILY):
+            for u, v in ((small, large), (large, small)):
+                got = twisted_product(Element.from_monomial(u), Element.from_monomial(v), mode)
+                assert got == twisted_tables(u, v, mode), (str(u), str(v))
 
 
 class TestChronological:

@@ -98,6 +98,47 @@ class TestGeneratorPowerBelowOne:
         assert parse("phi^0(x)*phi(y)") == parse("phi(y)")
 
 
+class TestNonIntegerPowers:
+    """Monomials are interned, and ``Generator("x", 2.0) == Generator("x",
+    2)``: an accepted float power would become the one shared monomial for
+    every later ``phi^2(x)``, which then prints ``phi^2.0(x)`` and whose
+    coproduct raises ``TypeError``."""
+
+    @pytest.mark.parametrize("power", [2.0, 1.5, True, Fraction(2)])
+    @pytest.mark.parametrize("build", [
+        lambda g: Monomial.from_occurrences([g]),
+        lambda g: Monomial([(g, 1)]),
+        Monomial.of,
+    ], ids=["from_occurrences", "constructor", "of"])
+    def test_rejected(self, build, power):
+        with pytest.raises(ValueError, match="generator powers must be integers"):
+            build(Generator("x_float", power))
+
+    @pytest.mark.parametrize("mult", [1.0, True, Fraction(1)])
+    def test_multiplicity_rejected(self, mult):
+        with pytest.raises(ValueError, match="multiplicities must be integers"):
+            Monomial([(Generator("x_float", 1), mult)])
+
+    @pytest.mark.parametrize("power", [1.5, 2.0, True])
+    def test_normalize_rejects(self, power):
+        with pytest.raises(ValueError, match="field powers must be integers"):
+            normalize([("x_float", power)])
+
+    def test_shared_monomial_stays_intact(self):
+        # a point no other test uses, so the rejected float monomial would
+        # have been the first one interned
+        with pytest.raises(ValueError):
+            Monomial.from_occurrences([Generator("x_interned", 2.0)])
+        u = parse("phi^2(x_interned)")
+        assert str(u) == "phi^2(x_interned)"
+        (m,) = u.terms
+        assert type(m.factors[0][0].power) is int
+        assert str(coproduct(u)) == (
+            "1 ⊗ phi^2(x_interned) + 2 * phi(x_interned) ⊗ phi(x_interned)"
+            " + phi^2(x_interned) ⊗ 1"
+        )
+
+
 class TestNormalProduct:
     def test_unit(self):
         u = phi("x", 2)
@@ -448,6 +489,15 @@ def test_monomial_json():
         {"point": "x", "power": 3, "mult": 2},
         {"point": "y", "power": 1, "mult": 1},
     ]
+
+
+def test_monomial_product_is_cached_once_per_unordered_pair():
+    m, n = mono(("x_pair", 1)), mono(("y_pair", 2), ("y_pair", 2))
+    before = hopf._monomial_product.cache_info()
+    product = m * n
+    assert n * m is product
+    after = hopf._monomial_product.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_monomial_coproduct_cache_consistency():
