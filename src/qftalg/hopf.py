@@ -91,7 +91,7 @@ class Monomial:
                 raise ValueError(f"multiplicities must be integers, got {mult!r}")
             if mult < 0:
                 raise ValueError("multiplicities must be nonnegative")
-            _check_power(gen)
+            _check_generator(gen)
             if mult:
                 acc[gen] = acc.get(gen, 0) + mult
         return Monomial._raw(tuple(sorted(acc.items())))
@@ -127,7 +127,7 @@ class Monomial:
 
     @classmethod
     def of(cls, gen: Generator) -> "Monomial":
-        _check_power(gen)
+        _check_generator(gen)
         return Monomial._raw(((gen, 1),))
 
     @property
@@ -196,10 +196,13 @@ class Monomial:
 _generator_of = itemgetter(0)
 
 
-def _check_power(gen: Generator) -> None:
+def _check_generator(gen: Generator) -> None:
     # an equal float or bool power would be interned in place of the int
     # one (Generator("x", 2.0) == Generator("x", 2)) and reach every later
-    # lookup of that monomial
+    # lookup of that monomial; a point that is not a str would be interned
+    # as is, or fail to sort against the str points of the same monomial
+    if type(gen.point) is not str:
+        raise ValueError(f"generator points must be strings, got {gen.point!r}")
     if type(gen.power) is not int:
         raise ValueError(f"generator powers must be integers, got {gen.power!r}")
     if gen.power < 1:

@@ -12,10 +12,11 @@ exactly the invariant this ring needs (factorials and binomials never
 overflow).  A :class:`PropPoly` stores an integral coefficient as an
 ``int`` and any other as a ``Fraction``: both are ``numbers.Rational`` and
 an integral ``Fraction`` equals and hashes like its ``int``, so the choice
-never shows in equality or rendering, but the bicharacter values and
-binomials of the twisted product, all integers, stay on integer
-arithmetic.  Every polynomial product and sum goes through one
-multiply-accumulate kernel, :func:`_poly_dots`.
+never shows in equality or rendering.  Every polynomial product and sum
+goes through one multiply-accumulate kernel, :func:`_poly_dots`, which
+does no ``Fraction`` arithmetic: it adds integer numerators over one
+common denominator per result and builds a ``Fraction`` only for a
+result coefficient that is not integral.
 
 Symbol monomials are interned: each canonical ``(symbol, exponent)`` tuple
 gets a small int id for the life of the process (``0`` is the constant
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from threading import Lock
 from typing import Iterable, Mapping, NamedTuple
 
@@ -412,59 +414,102 @@ def _poly_dots(entries: Iterable[tuple]) -> dict:
     and ``b`` a :class:`PropPoly`.
 
     This is the one multiply-accumulate of the ring, behind every product
-    and sum of polynomials: the products of each key add into one
-    coefficient dict, and only at the end are cancelled terms dropped,
-    integral coefficients stored as ``int`` and keys whose sum is zero
-    dropped.  No polynomial is built per entry.  The weight scales ``a``
-    once per entry, before its terms meet those of ``b``: callers put the
-    integer-coefficient operand first, so a rational coefficient of ``b``
-    costs one ``Fraction`` product, not two.  The product of two symbol
-    monomials is looked up by their ids, smaller id first, in
-    ``_SYMMAP_PRODUCT_CACHE``; only a pair not seen in either order is
-    merged.
+    and sum of polynomials, and it does no ``Fraction`` arithmetic.  Each
+    key sums ``int`` numerators over one running denominator ``den``,
+    starting at 1.  A term product ``n/d`` is read from the integer parts
+    of ``k``, ``a`` and ``b`` (``numerator`` and ``denominator``; an
+    ``int`` has ``d = 1``) and adds ``n * (den // d)``; a ``d`` that does
+    not divide ``den`` first raises ``den`` to ``lcm(den, d)`` and rescales
+    that key's numerators once.  The denominators are products of the
+    inputs' small denominators, so ``den`` changes only a few times per
+    key.  Only at the end is each coefficient reduced, by one gcd, and
+    stored as an ``int`` when integral and a ``Fraction`` otherwise;
+    cancelled terms and keys whose sum is zero are dropped.  No polynomial
+    is built per entry.  The product of two symbol monomials is looked up
+    by their ids, smaller id first, in ``_SYMMAP_PRODUCT_CACHE``; only a
+    pair not seen in either order is merged.
     """
     accs: dict = {}
+    dens: dict = {}  # the running denominator of each key that has one above 1
     product = _SYMMAP_PRODUCT_CACHE.get
     for key, k, a, b in entries:
         acc = accs.get(key)
         if acc is None:
             acc = accs[key] = {}
-        get = acc.get
-        if isinstance(a, PropPoly):
-            terms = a._terms.items() if k == 1 else [(s, k * c) for s, c in a._terms.items()]
-            for s1, c1 in terms:
-                for s2, c2 in b._terms.items():
-                    if not s1:
-                        s = s2
-                    elif not s2:
-                        s = s1
-                    else:
-                        pair = (s1, s2) if s1 < s2 else (s2, s1)
-                        s = product(pair)
-                        if s is None:
-                            # threads that meet a new pair at once store one id
-                            s = _SYMMAP_PRODUCT_CACHE[pair] = _symmap_id(
-                                _merge_counts(_SYMMAPS[s1], _SYMMAPS[s2])
-                            )
-                    old = get(s)
-                    acc[s] = c1 * c2 if old is None else old + c1 * c2
-        elif (w := a if k == 1 else k * a) == 1:
-            for s, c in b._terms.items():
-                old = get(s)
-                acc[s] = c if old is None else old + c
+            den = 1
         else:
+            den = dens.get(key, 1) if dens else 1
+        get = acc.get
+        if type(k) is int:
+            kn, kd = k, 1
+        else:
+            kn, kd = k.numerator, k.denominator
+        # a rational a gets its own loop over b: read as the one-term
+        # polynomial ((0, a),) it made the law checks, whose entries are
+        # mostly integers, a few per cent slower
+        if not isinstance(a, PropPoly):
+            if type(a) is int:
+                n1, d1 = kn * a, kd
+            else:
+                n1, d1 = kn * a.numerator, kd * a.denominator
             for s, c in b._terms.items():
+                if type(c) is int:
+                    n, d = n1 * c, d1
+                else:
+                    n, d = n1 * c.numerator, d1 * c.denominator
+                if d != den:
+                    if den % d:
+                        den = dens[key] = _rescaled(acc, den, d)
+                    n *= den // d
                 old = get(s)
-                acc[s] = w * c if old is None else old + w * c
+                acc[s] = n if old is None else old + n
+            continue
+        for s1, c1 in a._terms.items():
+            if type(c1) is int:
+                n1, d1 = kn * c1, kd
+            else:
+                n1, d1 = kn * c1.numerator, kd * c1.denominator
+            for s2, c in b._terms.items():
+                if not s1:
+                    s = s2
+                elif not s2:
+                    s = s1
+                else:
+                    pair = (s1, s2) if s1 < s2 else (s2, s1)
+                    s = product(pair)
+                    if s is None:
+                        # threads that meet a new pair at once store one id
+                        s = _SYMMAP_PRODUCT_CACHE[pair] = _symmap_id(
+                            _merge_counts(_SYMMAPS[s1], _SYMMAPS[s2])
+                        )
+                if type(c) is int:
+                    n, d = n1 * c, d1
+                else:
+                    n, d = n1 * c.numerator, d1 * c.denominator
+                if d != den:
+                    if den % d:
+                        den = dens[key] = _rescaled(acc, den, d)
+                    n *= den // d
+                old = get(s)
+                acc[s] = n if old is None else old + n
+    for key, den in dens.items():
+        acc = accs[key]
+        for s, n in acc.items():
+            acc[s] = n // den if n % den == 0 else Fraction(n, den)
     return {
         key: PropPoly._raw(terms)
         for key, acc in accs.items()
-        if (terms := {
-            s: c if type(c) is int else (c.numerator if c.denominator == 1 else c)
-            for s, c in acc.items()
-            if c
-        })
+        if (terms := {s: c for s, c in acc.items() if c})
     }
+
+
+def _rescaled(acc: dict, den: int, d: int) -> int:
+    """Raise the common denominator ``den`` of the numerators in ``acc`` to
+    ``lcm(den, d)``, rescaling them in place; returns the new denominator."""
+    scale = d // gcd(den, d)
+    for s in acc:
+        acc[s] *= scale
+    return den * scale
 
 
 def _poly_dot(pairs: Iterable[tuple]) -> PropPoly:

@@ -139,6 +139,36 @@ class TestNonIntegerPowers:
         )
 
 
+class TestNonStringPoints:
+    """Points are the parser's string labels: any other point would be
+    interned as is (``phi(7)``) or fail to sort against the string points
+    of the same monomial with a ``TypeError``."""
+
+    @pytest.mark.parametrize("point", [7, None, b"x", ("x",)])
+    @pytest.mark.parametrize("build", [
+        lambda g: Monomial.from_occurrences([g]),
+        lambda g: Monomial([(g, 1)]),
+        Monomial.of,
+    ], ids=["from_occurrences", "constructor", "of"])
+    def test_rejected(self, build, point):
+        with pytest.raises(ValueError, match="generator points must be strings"):
+            build(Generator(point, 1))
+
+    def test_rejected_beside_a_string_point(self):
+        with pytest.raises(ValueError, match="generator points must be strings, got 7"):
+            Monomial([(Generator(7, 1), 1), (Generator("x", 1), 1)])
+
+    def test_normalize_rejects(self):
+        with pytest.raises(ValueError, match="generator points must be strings, got 7"):
+            normalize([(7, 1), ("x", 2)])
+
+    def test_nothing_is_interned(self):
+        before = len(hopf._MONOMIAL_CACHE)
+        with pytest.raises(ValueError):
+            Monomial.of(Generator(7, 1))
+        assert len(hopf._MONOMIAL_CACHE) == before
+
+
 class TestNormalProduct:
     def test_unit(self):
         u = phi("x", 2)

@@ -8,11 +8,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import qftalg
 from qftalg import scalar
+from qftalg.coqts import RMode, twisted_product
 from qftalg.errors import MissingSymbol
+from qftalg.expr import parse
 from qftalg.scalar import (
     D,
     Dplus,
@@ -235,9 +237,50 @@ class TestSympyOracle:
 
 
 
+_rationals = st.one_of(
+    st.integers(-6, 6),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@st.composite
+def entries(draw):
+    """A weighted ``(key, k, a, b)`` entry: the weight and a rational ``a``
+    drawn as ints, bools or Fractions (negative ones too), the polynomials
+    with up to three terms over three symbols."""
+
+    def poly():
+        return PropPoly({
+            tuple((sym, draw(st.integers(0, 2))) for sym in _symbols[:3]): draw(_rationals)
+            for _ in range(draw(st.integers(0, 3)))
+        })
+
+    a = poly() if draw(st.booleans()) else draw(_rationals)
+    return draw(st.sampled_from("pq")), draw(_rationals), a, poly()
+
+
+def reference_dots(entries) -> dict:
+    """``{key: {symbol monomial: sum k*a*b}}``, one term product at a
+    time in ``Fraction``, zero coefficients and empty keys dropped."""
+    out: dict = {}
+    for key, k, a, b in entries:
+        acc = out.setdefault(key, {})
+        for m1, c1 in (a.terms if isinstance(a, PropPoly) else {(): a}).items():
+            for m2, c2 in b.terms.items():
+                (m,) = PropPoly.from_symbol_powers(m1 + m2).terms
+                acc[m] = acc.get(m, Fraction(0)) + Fraction(k) * Fraction(c1) * Fraction(c2)
+    return {
+        key: terms
+        for key, acc in out.items()
+        if (terms := {m: c for m, c in acc.items() if c})
+    }
+
+
 class TestWeightedPolyDots:
     """``_poly_dots`` sums ``k*a*b`` per key, the weight ``k`` an int or a
-    Fraction, against the same sums formed with the operators."""
+    Fraction, against the same sums formed with the operators and against
+    a reference summed one term product at a time in ``Fraction``."""
 
     def test_matches_the_operators(self):
         rng = random.Random(1515)
@@ -276,6 +319,87 @@ class TestWeightedPolyDots:
         assert list(got) == ["kept"]
         assert got["kept"].terms == {((D(X, Y), 1),): 1, (): Fraction(-1, 2)}
         assert type(got["kept"].terms[((D(X, Y), 1),)]) is int
+
+    @given(st.lists(entries(), max_size=8))
+    @example([
+        ("k", 1, Fraction(1, 2), PropPoly.symbol(D(X, Y))),
+        ("k", True, PropPoly.symbol(D(X, Z), 1, Fraction(-3, 4)), PropPoly.symbol(D(X, Y)) + 1),
+        ("j", Fraction(-2, 3), False, PropPoly.one()),
+        ("j", Fraction(-2, 3), True, PropPoly.constant(Fraction(5, 7))),
+    ])
+    def test_matches_a_fraction_reference(self, drawn):
+        got = _poly_dots(drawn)
+        assert {key: p.terms for key, p in got.items()} == reference_dots(drawn)
+        for p in got.values():
+            for c in p.terms.values():
+                assert c and type(c) is (int if c.denominator == 1 else Fraction)
+
+    def test_common_denominator_grows_partway(self):
+        # one key meets denominators 2, 3, 4 and 6 in turn: 3 and 4 do not
+        # divide the running denominator, so the earlier numerators are
+        # rescaled, and 6 divides 12
+        d, e = PropPoly.symbol(D(X, Y)), PropPoly.symbol(Dplus(X, Y))
+        got = _poly_dots([
+            ("k", 1, Fraction(1, 2), d),
+            ("k", 1, Fraction(1, 3), e),
+            ("k", 3, Fraction(1, 4), d),
+            ("k", 1, Fraction(5, 6), PropPoly.one()),
+            ("k", -1, d, PropPoly.constant(Fraction(1, 4))),
+        ])
+        assert got["k"].terms == {
+            ((D(X, Y), 1),): 1,
+            ((Dplus(X, Y), 1),): Fraction(1, 3),
+            (): Fraction(5, 6),
+        }
+        assert type(got["k"].terms[((D(X, Y), 1),)]) is int
+
+    def test_a_rational_sum_that_cancels_to_an_integer_is_an_int(self):
+        d = PropPoly.symbol(D(X, Y))
+        got = _poly_dots([
+            ("k", 1, Fraction(1, 3), d),
+            ("k", Fraction(5, 2), Fraction(-2, 3), PropPoly.one()),
+            ("k", 2, d, PropPoly.constant(Fraction(1, 3))),
+            ("k", 1, Fraction(2, 3), PropPoly.one()),
+        ])
+        assert got["k"].terms == {((D(X, Y), 1),): 1, (): -1}
+        assert all(type(c) is int for c in got["k"].terms.values())
+
+    def test_a_rational_sum_that_cancels_to_zero_is_dropped(self):
+        d = PropPoly.symbol(D(X, Y))
+        got = _poly_dots([
+            ("k", 1, Fraction(1, 6), d),
+            ("k", Fraction(1, 2), Fraction(1, 3), PropPoly.one()),
+            ("k", Fraction(-1, 3), Fraction(1, 2), d),
+            ("gone", 3, Fraction(1, 4), d + Fraction(1, 5)),
+            ("gone", Fraction(3, 4), -1, d),
+            ("gone", True, Fraction(-3, 20), PropPoly.one()),
+        ])
+        assert list(got) == ["k"]
+        assert got["k"].terms == {(): Fraction(1, 6)}
+
+    def test_no_fraction_arithmetic(self, monkeypatch):
+        # the kernel adds and multiplies integer numerators only: with
+        # Fraction's operators refusing, rational entries and twisted
+        # products of rational elements still give the same values
+        d = PropPoly.symbol(D(X, Y), 1, Fraction(2, 3)) + Fraction(-1, 4)
+        dots = [
+            ("k", Fraction(3, 5), d, d),
+            ("k", 2, Fraction(-1, 6), d),
+            ("j", True, d, PropPoly.constant(Fraction(7, 2))),
+        ]
+        u = parse("1/2*phi(x_nf)*phi^2(y_nf) - 2/3*phi^2(x_nf) + 5/6")
+        v = parse("-3/4*phi(y_nf)*phi(x_nf) + 1/6*phi^3(y_nf)")
+        expected_dots = _poly_dots(dots)
+        expected = {mode: twisted_product(u, v, mode) for mode in RMode}
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in the multiply-accumulate")
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Fraction, name, refuse)
+        assert _poly_dots(dots) == expected_dots
+        for mode in RMode:
+            assert twisted_product(u, v, mode) == expected[mode]
 
 
 def test_len_counts_terms():
