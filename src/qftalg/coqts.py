@@ -15,19 +15,18 @@ product by propagator contractions; with the symmetric symbols it is
 commutative and fold-generates the chronological product.  It extends
 bilinearly from basis monomials, pairing only equal-power parts of their
 coproducts; a split whose left power exceeds the smaller total power of
-the two monomials has no partner, so each coproduct is built only up to
-that power (a capped walk of ``hopf._grown``).  The twisted product, the
-bicharacter and the expansions ``sum scalar(u')u''`` are each one call of
-the ring's weighted multiply-accumulate (``scalar._poly_dots``): every
-split pair is one entry ``(output monomial, integer weight, pairing
-value, coefficient)``, so no polynomial or element is built per split
-pair and this module never reads how a :class:`~qftalg.scalar.PropPoly`
-stores its terms.
+the two monomials has no partner, so each coproduct is read in left-power
+buckets built only up to that power (``hopf._graded_coproduct``, which
+the bicharacter reads too).  The twisted product, the bicharacter and the
+expansions ``sum scalar(u')u''`` are each one call of the ring's weighted
+multiply-accumulate (``scalar._poly_dots``): every split pair is one entry
+``(output monomial, integer weight, pairing value, coefficient)``, so no
+polynomial or element is built per split pair and this module never reads
+how a :class:`~qftalg.scalar.PropPoly` stores its terms.
 
 Bicharacter values of monomial pairs are memoised in a dict, ``_R_CACHE``,
 keyed on the pair and the mode read as its propagator (``_symbol``); the
-power-grouped coproduct of a basis monomial up to a cap, and the
-chronological product of a basis monomial, by ``functools.cache``.
+chronological product of a basis monomial by ``functools.cache``.
 Entries are idempotent, so concurrent reads/writes are benign and results
 do not depend on evaluation order.
 """
@@ -39,9 +38,8 @@ from functools import cache
 from math import factorial
 from typing import Iterable, Sequence
 
-from . import hopf
 from .errors import IdentityViolation, ModeError
-from .hopf import Element, Generator, Monomial, _linear_sum, monomial_coproduct
+from .hopf import Element, Generator, Monomial, _graded_coproduct, _linear_sum, monomial_coproduct
 from .scalar import D, Dplus, PropPoly, _poly_dot, _poly_dots
 
 
@@ -68,7 +66,6 @@ def _symbol(mode: RMode):
 def r_generators(g: Generator, h: Generator, mode: RMode) -> PropPoly:
     """Pairing of two generators: zero unless powers match, else
     ``n! * symbol(x, y)^n`` with orientation from ``g`` to ``h``."""
-    _symbol(mode)  # a bad mode raises even when the powers differ
     return r_bicharacter(Monomial.of(g), Monomial.of(h), mode)
 
 
@@ -92,14 +89,13 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
     whose ``v'`` has the power of ``g``, each ``R(g, v')`` in closed form;
     ``R(1, v) = counit(v)``.
     """
+    sym = _symbol(mode)  # a bad mode raises before any short-cut
     # power balance: the generator pairing is diagonal, so mismatched total
-    # field powers can never contract completely (this covers a unit
-    # against a non-unit)
+    # powers never contract completely (a unit against a non-unit included)
     if u.total_power != v.total_power:
         return PropPoly.zero()
     if u.is_unit:
         return PropPoly.one()
-    sym = _symbol(mode)
     key = (u, v, sym)
     cached = _R_CACHE.get(key)
     if cached is not None:
@@ -111,32 +107,10 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
     else:
         result = _poly_dots(
             (None, c, _r_generator(g, v1, sym), r_bicharacter(rest, v2, mode))
-            for (v1, v2), c in _coproduct_by_power(v, v.total_power)[g.power]
+            for (v1, v2), c in _graded_coproduct(v, g.power)[g.power]
         ).get(None, PropPoly.zero())
     _R_CACHE[key] = result
     return result
-
-
-@cache
-def _coproduct_by_power(mono: Monomial, cap: int) -> dict[int, list]:
-    """The splits of the contraction coproduct whose left slot has total
-    field power at most ``cap``, grouped by that power.
-
-    The bicharacter pairing vanishes across unequal powers, so the twisted
-    product of ``mono`` with a monomial of total power ``cap`` only ever
-    pairs these buckets.  A cap at or above the power of ``mono`` reads its
-    whole coproduct; a lower one walks ``hopf._grown`` with the cap, which
-    builds no split of a higher left power.  The buckets hold the
-    coproduct's own ``((left, right), c)`` pairs.
-    """
-    if cap >= mono.total_power:
-        splits = monomial_coproduct(mono)
-    else:
-        splits = hopf._grown(mono, hopf._DELTA_CACHE, hopf._binomial_split, cap)
-    buckets = {}
-    for split in splits:
-        buckets.setdefault(split[0][0].total_power, []).append(split)
-    return buckets
 
 
 def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -> Element:
@@ -150,11 +124,12 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     of their coproducts: ``a2 b2`` gains ``ca cb R(a1, b1) pu pv``, with the
     product ``pu pv`` of the two coefficients formed once per monomial pair.
     A split power above the smaller total power of ``mu`` and ``mv`` has no
-    partner, so each coproduct is built only up to that cap.
+    partner, so each coproduct is read in left-power buckets up to that cap:
+    the monomial of that power has ``cap + 1`` of them, where ``zip`` stops.
     """
     _symbol(mode)  # a bad mode raises even when there is nothing to pair
     pairs = [
-        (_coproduct_by_power(mu, cap), _coproduct_by_power(mv, cap), pu * pv)
+        (_graded_coproduct(mu, cap), _graded_coproduct(mv, cap), pu * pv)
         for mu, pu in u.terms.items()
         for mv, pv in v.terms.items()
         for cap in (min(mu.total_power, mv.total_power),)
@@ -162,9 +137,9 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     return Element._raw(_poly_dots(
         (a2 * b2, ca * cb, r_bicharacter(a1, b1, mode), p)
         for du, dv, p in pairs
-        for power, left_terms in du.items()
+        for left_terms, right_terms in zip(du, dv)
         for (a1, a2), ca in left_terms
-        for (b1, b2), cb in dv.get(power, ())
+        for (b1, b2), cb in right_terms
     ))
 
 

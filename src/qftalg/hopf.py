@@ -32,9 +32,9 @@ makes sure no monomial is ever built twice, also under threads.
 
 All values are immutable and all operations pure.  Products and antipodes
 of monomials are memoised by ``functools.cache``, the coproducts in dicts
-that also keep each monomial they grow from (a walk capped in power keeps
-only the rests within its cap); every entry is idempotent, so
-concurrent use is safe.
+that also keep each monomial they grow from, the contraction coproduct
+also in left-power buckets up to a cap for the twisted product and the
+bicharacter.  Every entry is idempotent, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -551,31 +551,28 @@ def counit(u: Element) -> PropPoly:
 _UNIT_SPLITS = (((_UNIT, _UNIT), 1),)
 
 
-def _grown(
-    mono: Monomial,
-    table: dict,
-    split_generator: Callable[[Generator], tuple],
-    cap: int | None = None,
-) -> tuple:
+def _grow(pairs: Iterable[tuple]) -> tuple:
+    """One more occurrence of a generator: each split of each ``(splits,
+    gen_splits)`` pair times each ``(left, right, coefficient)`` triple of
+    ``gen_splits`` (a side ``None`` is the unit), equal splits merged."""
+    return tuple(_accumulate(
+        ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
+        for splits, gen_splits in pairs
+        for (left, right), c in splits
+        for g1, g2, k in gen_splits
+    ).items())
+
+
+def _grown(mono: Monomial, table: dict, split_generator: Callable[[Generator], tuple]) -> tuple:
     """Coproduct of a basis monomial, memoised in ``table``.
 
     ``split_generator(g)`` gives the ``(left, right, coefficient)`` triples
-    of one occurrence of ``g``, a side being a generator or ``None`` for
-    the unit.  The coproduct of ``g * rest`` is that of ``rest`` times
-    the split of ``g``.  The loop walks down the first generators of
-    ``mono`` to the first rest already in ``table`` and grows back up,
+    of one occurrence of ``g``.  The loop walks down the first generators
+    of ``mono`` to the first rest already in ``table`` and grows back up,
     caching each rest it passes.  It peels a generator with its whole
-    multiplicity: the coproduct of ``phi(x)^n`` then caches one tuple, not
-    the ``n`` tuples of its powers, which would hold ``n^2/2`` splits.
-    The walk is a loop, not a recursion, so its depth is not the
-    interpreter's recursion limit.
-
-    With a ``cap``, only the splits whose left side has total power at
-    most ``cap`` are kept.  A rest of total power at most ``cap`` keeps all
-    of its splits, so it is read from and stored in ``table`` as before.
-    Above the cap a split is dropped as soon as its left power passes the
-    cap, before its sides are built (growing only adds to the left power),
-    and nothing is stored: the caller keeps what it needs.
+    multiplicity: ``phi(x)^n`` then caches one tuple, not the ``n`` tuples
+    of its powers (``n^2/2`` splits).  The walk is a loop, not a recursion,
+    so its depth is not the interpreter's recursion limit.
     """
     walked = []
     splits = table.get(mono)
@@ -586,22 +583,46 @@ def _grown(
         walked.append(mono)
         mono = Monomial._raw(mono.factors[1:])
         splits = table.get(mono)
-    if cap is not None and mono.total_power > cap:
-        splits = tuple(split for split in splits if split[0][0].total_power <= cap)
     for mono in reversed(walked):
         gen, mult = mono.factors[0]
         gen_splits = split_generator(gen)
-        fits = cap is None or mono.total_power <= cap
         for _ in range(mult):
-            splits = tuple(_accumulate(
-                ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
-                for (left, right), c in splits
-                for g1, g2, k in gen_splits
-                if fits or g1 is None or left.total_power + g1.power <= cap
-            ).items())
-        if fits:
-            table[mono] = splits
+            splits = _grow(((splits, gen_splits),))
+        table[mono] = splits
     return splits
+
+
+def _graded_coproduct(mono: Monomial, cap: int) -> tuple:
+    """The contraction coproduct of a basis monomial in left-power buckets:
+    bucket ``k`` holds the splits whose left side has total power ``k``,
+    for every ``k`` up to ``min(cap, mono.total_power)`` and maybe beyond.
+
+    :func:`_grown`'s walk, over ``_DELTA_BY_POWER_CACHE``: down to the
+    first rest whose entry reaches the cap, then up, growing only the
+    buckets up to the cap (left powers only grow).  Each rest passed is
+    stored, replacing a shorter entry; a lower cap reads a prefix.
+    """
+    walked = []
+    buckets = _DELTA_BY_POWER_CACHE.get(mono)
+    while buckets is None or len(buckets) <= min(cap, mono.total_power):
+        if mono.is_unit:
+            buckets = (_UNIT_SPLITS,)
+            break
+        walked.append(mono)
+        mono = Monomial._raw(mono.factors[1:])
+        buckets = _DELTA_BY_POWER_CACHE.get(mono)
+    for mono in reversed(walked):
+        gen, mult = mono.factors[0]
+        gen_splits = _binomial_split(gen)  # split j has left power j
+        for _ in range(mult):
+            # a rest below the cap has all its buckets, so this stops at the cap or the power
+            buckets = tuple(
+                _grow((buckets[p - j], (split,))
+                      for j, split in enumerate(gen_splits) if 0 <= p - j < len(buckets))
+                for p in range(min(cap, len(buckets) - 1 + gen.power) + 1)
+            )
+        _DELTA_BY_POWER_CACHE[mono] = buckets
+    return buckets
 
 
 @cache
@@ -621,6 +642,8 @@ def _primitive_split(gen: Generator) -> tuple:
 # dicts: _grown stores every rest it walks past; wickbench/tracer.py reads them
 _DELTA_CACHE: dict[Monomial, tuple] = {}
 _DELTA_PRIME_CACHE: dict[Monomial, tuple] = {}
+# monomial -> its left-power buckets up to the highest cap asked of it
+_DELTA_BY_POWER_CACHE: dict[Monomial, tuple] = {}
 
 
 def monomial_coproduct(mono: Monomial) -> tuple:

@@ -101,6 +101,19 @@ def test_proppoly_representation_is_private():
             assert name not in text, f"{path.name} names {name}"
 
 
+def test_coproduct_walks_are_private_to_hopf():
+    # the coproduct tables and the walks that fill them live in hopf.py;
+    # every other module reads a coproduct through a function of hopf
+    private = ("_grown", "_binomial_split", "_DELTA_CACHE", "_DELTA_PRIME_CACHE",
+               "_DELTA_BY_POWER_CACHE")
+    for path in sorted(Path(qftalg.__file__).parent.glob("*.py")):
+        if path.name == "hopf.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for name in private:
+            assert name not in text, f"{path.name} names {name}"
+
+
 def test_identity_violation_is_raised_in_one_place():
     # every identity check compares through coqts._expansion_identity, so
     # that is the one place an IdentityViolation is built
@@ -129,11 +142,11 @@ def test_accumulate_is_called_only_at_the_merges():
 # keep each monomial they grow from), keys on a reduced argument (the
 # bicharacter reads its mode as its propagator) or interns under a lock.
 CACHE_DICTS = {
-    "coqts._R_CACHE", "hopf._DELTA_CACHE", "hopf._DELTA_PRIME_CACHE", "hopf._MONOMIAL_CACHE",
-    "scalar._SYMMAP_CACHE", "scalar._SYMMAP_PRODUCT_CACHE",
+    "coqts._R_CACHE", "hopf._DELTA_BY_POWER_CACHE", "hopf._DELTA_CACHE", "hopf._DELTA_PRIME_CACHE",
+    "hopf._MONOMIAL_CACHE", "scalar._SYMMAP_CACHE", "scalar._SYMMAP_PRODUCT_CACHE",
 }
 CACHED_FUNCTIONS = {
-    "coqts._chronological_monomial", "coqts._coproduct_by_power", "hopf._antipode_monomial",
+    "coqts._chronological_monomial", "hopf._antipode_monomial",
     "hopf._binomial_split", "hopf._monomial_product", "renorm._partitions",
     "renorm._t_c_word",
 }
@@ -157,7 +170,6 @@ def test_cached_functions_hit_on_a_repeated_call():
     calls = [
         (hopf._monomial_product, lambda: m * m),
         (hopf._antipode_monomial, lambda: qftalg.antipode(u)),
-        (coqts._coproduct_by_power, lambda: qftalg.twisted_product(u, u, qftalg.RMode.OPERATOR)),
         (coqts._chronological_monomial, lambda: qftalg.chronological(m)),
         (renorm._t_c_word, lambda: qftalg.comodule_expansion_check(u)),
         (renorm._partitions, lambda: renorm._partitions(m)),

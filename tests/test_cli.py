@@ -567,6 +567,18 @@ class TestExitCodes:
             for k in range(1201)
         }
 
+    def test_wick_of_a_1200_fold_power(self, monkeypatch):
+        # the power-graded coproduct of the left side walks down one factor
+        # of multiplicity 1200 and grows it back at cap 1; grown by a
+        # recursion per occurrence, that walk exceeded the interpreter's limit
+        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", {})
+        lhs = "*".join(["phi(x)"] * 1200)
+        expected = (
+            "1200*D(x,y)*" + "*".join(["phi(x)"] * 1199) + " + "
+            + "*".join(["phi(x)"] * 1200 + ["phi(y)"]) + "\n"
+        )
+        assert run_cli("wick", "--lhs", lhs, "--rhs", "phi(y)") == (0, expected, "")
+
     def test_arbitrary_propagator_exponents(self):
         # exponents are arbitrary-precision ints, never a fixed-width field
         big = "D(x,y)^99999999999999999999999"

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qftalg import coqts
+from qftalg import coqts, hopf
 from qftalg.coqts import (
     RMode,
     chronological,
@@ -91,16 +93,16 @@ class TestRBicharacter:
             assert r_bicharacter(u, v, mode) == bicharacter_contingency(u, v, mode)
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_one_generator_builds_no_coproduct(self, mode):
+    def test_one_generator_builds_no_coproduct(self, mode, monkeypatch):
         # a single generator is paired in closed form: through the coproduct
         # of v instead, t of phi^1700(x)*phi^1700(y) built the coproduct of
         # every phi^k(y) and took tens of seconds
-        before = coqts._coproduct_by_power.cache_info()
+        table = {}
+        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", table)
         g = mono(("x40", 40))
         assert r_bicharacter(g, mono(("y40", 40)), mode)
         assert r_bicharacter(g, mono(("y40", 20), ("z40", 20)), mode)
-        after = coqts._coproduct_by_power.cache_info()
-        assert after.hits + after.misses == before.hits + before.misses
+        assert table == {}
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
     def test_convention_independence(self, mode):
@@ -253,20 +255,59 @@ LARGE_FAMILY = [
 
 
 class TestPowerCap:
-    def test_capped_buckets_are_the_low_power_splits(self):
-        # points no other test uses, and every cap before the full
-        # coproduct: the capped walks meet rests both missing from and
-        # already in the coproduct table
-        points = ("x1_cap", "x2_cap", "x3_cap")
-        monos = [m for e in exhaustive_monomials(3, 3, points) for m in e.terms]
+    def test_capped_buckets_are_the_low_power_splits(self, monkeypatch):
+        # every cap of every monomial, descending and ascending from an
+        # empty table: the walks meet rests missing, stored below the cap
+        # and stored above it
+        monos = [m for e in exhaustive_monomials(3, 3) for m in e.terms]
         for m in monos:
-            capped = [coqts._coproduct_by_power(m, cap) for cap in range(m.total_power + 1)]
             full = monomial_coproduct(m)
-            for cap, buckets in enumerate(capped):
-                for power in range(m.total_power + 1):
-                    expected = Counter(s for s in full if s[0][0].total_power == power)
-                    got = Counter(buckets.get(power, ()))
-                    assert got == (expected if power <= cap else Counter()), (str(m), cap, power)
+            expected = [
+                Counter(s for s in full if s[0][0].total_power == power)
+                for power in range(m.total_power + 1)
+            ]
+            caps = range(m.total_power + 1)
+            for order in (reversed(caps), caps):
+                monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", {})
+                for cap in order:
+                    buckets = hopf._graded_coproduct(m, cap)
+                    assert cap < len(buckets) <= m.total_power + 1, (str(m), cap)
+                    for power, bucket in enumerate(buckets):
+                        assert Counter(bucket) == expected[power], (str(m), cap, power)
+
+    def test_one_entry_per_monomial_across_caps(self, monkeypatch):
+        # a lower cap reads a prefix of the entry a higher cap stored, and a
+        # higher cap replaces it: never one entry per (monomial, cap)
+        table = {}
+        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", table)
+        m = mono(("x", 2), ("y", 1), ("y", 1), ("z", 3))
+        walked = {m, mono(("y", 1), ("y", 1), ("z", 3)), mono(("z", 3))}
+        hopf._graded_coproduct(m, 3)
+        assert set(table) == walked
+        stored = dict(table)
+        for cap in (1, 2):
+            assert hopf._graded_coproduct(m, cap) is stored[m]
+        assert table == stored and all(table[k] is stored[k] for k in walked)
+        assert [len(table[k]) for k in sorted(walked)] == [4, 4, 4]
+        hopf._graded_coproduct(m, m.total_power)
+        assert set(table) == walked
+        assert [len(table[k]) for k in sorted(walked)] == [8, 6, 4]
+
+    def test_walk_is_not_a_recursion_per_factor(self, monkeypatch):
+        # 100 distinct points: a walk that recursed once per factor would
+        # pass the limit set 40 frames above the current depth
+        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", {})
+        m = Monomial.from_occurrences(Generator(f"p{i:03}", 1) for i in range(100))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            buckets = hopf._graded_coproduct(m, 1)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [len(b) for b in buckets] == [1, 100]
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
     def test_pairs_the_cap_prunes_against_tables(self, mode):
@@ -274,6 +315,27 @@ class TestPowerCap:
             for u, v in ((small, large), (large, small)):
                 got = twisted_product(Element.from_monomial(u), Element.from_monomial(v), mode)
                 assert got == twisted_tables(u, v, mode), (str(u), str(v))
+
+
+# sha256 of str(u o v), one line per product, over every ordered pair of
+# the 55 monomials of exhaustive_monomials(2, 3), each with its own rational
+# coefficient; written from an earlier coproduct walk, so a change to how
+# the coproduct is grown or grouped must print the same bytes
+TWISTED_GOLDEN = {
+    RMode.CHRONOLOGICAL: "61d756a95b416f76474e0cb38b401c92fc7b24f1974d49430f76fa8f9ab11d56",
+    RMode.OPERATOR: "ecb7258bf765dfb306004e4d970e2a7976a9ffef508caea8d06b2144da2b9e1c",
+}
+
+
+@pytest.mark.parametrize("mode", BOTH_MODES)
+def test_twisted_products_match_the_golden_hash(mode):
+    monos = [m for e in exhaustive_monomials(2, 3) for m in e.terms]
+    elems = [Element.from_monomial(m, Fraction(i + 1, 2 * i + 3)) for i, m in enumerate(monos)]
+    digest = hashlib.sha256()
+    for u in elems:
+        for v in elems:
+            digest.update(str(twisted_product(u, v, mode)).encode() + b"\n")
+    assert digest.hexdigest() == TWISTED_GOLDEN[mode]
 
 
 class TestChronological:
@@ -333,6 +395,14 @@ class TestModeMembers:
                 r_bicharacter(u, v, mode)
             with pytest.raises(ModeError):
                 r_generators(Generator("x", 1), Generator("y", 2), mode)
+
+    # the unit and unequal-power short-cuts returned before reading the mode
+    def test_short_cuts_read_the_mode(self):
+        for mode in ("feynman", "wightman", None, True):
+            with pytest.raises(ModeError):
+                r_bicharacter(UNIT, UNIT, mode)
+            with pytest.raises(ModeError):
+                r_bicharacter(mono(("x", 1)), mono(("y", 2)), mode)
 
     # the chronological-only entry points named the string's own mode as the
     # one they require: chronological(u, "feynman") asked for "feynman"
