@@ -31,10 +31,12 @@ table grows only with the distinct monomials a session builds, and a lock
 makes sure no monomial is ever built twice, also under threads.
 
 All values are immutable and all operations pure.  Products and antipodes
-of monomials are memoised by ``functools.cache``, the coproducts in dicts
-that also keep each monomial they grow from, the contraction coproduct
-also in left-power buckets up to a cap for the twisted product and the
-bicharacter.  Every entry is idempotent, so concurrent use is safe.
+of monomials are memoised by ``functools.cache``.  The coproducts are
+memoised in dicts filled by one walk, :func:`_grown`, which also stores
+each monomial it grows from: the two flat coproducts in one bucket each,
+and the contraction coproduct a second time in left-power buckets up to
+a cap, for the twisted product and the bicharacter.  Every entry is
+idempotent, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -551,99 +553,83 @@ def counit(u: Element) -> PropPoly:
 _UNIT_SPLITS = (((_UNIT, _UNIT), 1),)
 
 
-def _grow(pairs: Iterable[tuple]) -> tuple:
-    """One more occurrence of a generator: each split of each ``(splits,
-    gen_splits)`` pair times each ``(left, right, coefficient)`` triple of
-    ``gen_splits`` (a side ``None`` is the unit), equal splits merged."""
-    return tuple(_accumulate(
-        ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
-        for splits, gen_splits in pairs
-        for (left, right), c in splits
-        for g1, g2, k in gen_splits
-    ).items())
+def _grown(
+    mono: Monomial, cap: int, table: dict, split_generator: Callable[[Generator], tuple]
+) -> tuple:
+    """Coproduct of a basis monomial in buckets, memoised in ``table``.
 
-
-def _grown(mono: Monomial, table: dict, split_generator: Callable[[Generator], tuple]) -> tuple:
-    """Coproduct of a basis monomial, memoised in ``table``.
-
-    ``split_generator(g)`` gives the ``(left, right, coefficient)`` triples
-    of one occurrence of ``g``.  The loop walks down the first generators
-    of ``mono`` to the first rest already in ``table`` and grows back up,
-    caching each rest it passes.  It peels a generator with its whole
-    multiplicity: ``phi(x)^n`` then caches one tuple, not the ``n`` tuples
-    of its powers (``n^2/2`` splits).  The walk is a loop, not a recursion,
-    so its depth is not the interpreter's recursion limit.
+    ``split_generator(g)`` gives one occurrence of ``g`` as buckets of
+    ``(left, right, coefficient)`` triples (a side ``None`` is the unit).
+    Bucket ``p`` of a product is the sum over ``j`` of bucket ``p - j`` of
+    the rest times bucket ``j`` of the generator, equal splits merged, for
+    every ``p`` up to ``cap`` and no further: a generator split into one
+    bucket gives one bucket, all the splits, at cap 0.  The loop walks down
+    the first generators of ``mono`` to the first rest whose entry reaches
+    the cap and grows back up, storing each rest it passes and replacing a
+    shorter entry; a lower cap reads a prefix.  It peels a generator with
+    its whole multiplicity: ``phi(x)^n`` then stores one entry, not the
+    ``n`` entries of its powers (``n^2/2`` splits).  The walk is a loop, not
+    a recursion, so its depth is not the interpreter's recursion limit.
     """
     walked = []
-    splits = table.get(mono)
-    while splits is None:
-        if mono.is_unit:
-            splits = _UNIT_SPLITS
-            break
-        walked.append(mono)
-        mono = Monomial._raw(mono.factors[1:])
-        splits = table.get(mono)
-    for mono in reversed(walked):
-        gen, mult = mono.factors[0]
-        gen_splits = split_generator(gen)
-        for _ in range(mult):
-            splits = _grow(((splits, gen_splits),))
-        table[mono] = splits
-    return splits
-
-
-def _graded_coproduct(mono: Monomial, cap: int) -> tuple:
-    """The contraction coproduct of a basis monomial in left-power buckets:
-    bucket ``k`` holds the splits whose left side has total power ``k``,
-    for every ``k`` up to ``min(cap, mono.total_power)`` and maybe beyond.
-
-    :func:`_grown`'s walk, over ``_DELTA_BY_POWER_CACHE``: down to the
-    first rest whose entry reaches the cap, then up, growing only the
-    buckets up to the cap (left powers only grow).  Each rest passed is
-    stored, replacing a shorter entry; a lower cap reads a prefix.
-    """
-    walked = []
-    buckets = _DELTA_BY_POWER_CACHE.get(mono)
+    buckets = table.get(mono)
     while buckets is None or len(buckets) <= min(cap, mono.total_power):
         if mono.is_unit:
             buckets = (_UNIT_SPLITS,)
             break
         walked.append(mono)
         mono = Monomial._raw(mono.factors[1:])
-        buckets = _DELTA_BY_POWER_CACHE.get(mono)
+        buckets = table.get(mono)
     for mono in reversed(walked):
         gen, mult = mono.factors[0]
-        gen_splits = _binomial_split(gen)  # split j has left power j
+        gen_buckets = split_generator(gen)
         for _ in range(mult):
             # a rest below the cap has all its buckets, so this stops at the cap or the power
             buckets = tuple(
-                _grow((buckets[p - j], (split,))
-                      for j, split in enumerate(gen_splits) if 0 <= p - j < len(buckets))
-                for p in range(min(cap, len(buckets) - 1 + gen.power) + 1)
+                tuple(_accumulate(
+                    ((left.append(g1) if g1 else left, right.append(g2) if g2 else right), c * k)
+                    for j, gen_bucket in enumerate(gen_buckets) if 0 <= p - j < len(buckets)
+                    for (left, right), c in buckets[p - j]
+                    for g1, g2, k in gen_bucket
+                ).items())
+                for p in range(min(cap, len(buckets) + len(gen_buckets) - 2) + 1)
             )
-        _DELTA_BY_POWER_CACHE[mono] = buckets
+        table[mono] = buckets
     return buckets
 
 
 @cache
 def _binomial_split(gen: Generator) -> tuple:
-    """``phi^n(x) -> sum_k C(n,k) phi^k(x) (x) phi^(n-k)(x)``, one
-    :class:`Generator` per power, made once per generator."""
+    """``phi^n(x) -> sum_k C(n,k) phi^k(x) (x) phi^(n-k)(x)``, bucket ``k``
+    holding the one split of left power ``k``, made once per generator."""
     point, n = gen
     powers = [None] + [Generator(point, k) for k in range(1, n)] + [gen]
-    return tuple((powers[k], powers[n - k], comb(n, k)) for k in range(n + 1))
+    return tuple(((powers[k], powers[n - k], comb(n, k)),) for k in range(n + 1))
+
+
+def _binomial_bucket(gen: Generator) -> tuple:
+    """The binomial splits of ``gen`` in one bucket."""
+    return (tuple(chain.from_iterable(_binomial_split(gen))),)
 
 
 def _primitive_split(gen: Generator) -> tuple:
-    """``g -> g (x) 1 + 1 (x) g``."""
-    return ((gen, None, 1), (None, gen, 1))
+    """``g -> g (x) 1 + 1 (x) g``, in one bucket."""
+    return (((gen, None, 1), (None, gen, 1)),)
 
 
-# dicts: _grown stores every rest it walks past; wickbench/tracer.py reads them
+# dicts: _grown stores every rest it walks past; wickbench/tracer.py reads
+# the two flat ones, each entry a single bucket
 _DELTA_CACHE: dict[Monomial, tuple] = {}
 _DELTA_PRIME_CACHE: dict[Monomial, tuple] = {}
 # monomial -> its left-power buckets up to the highest cap asked of it
 _DELTA_BY_POWER_CACHE: dict[Monomial, tuple] = {}
+
+
+def _graded_coproduct(mono: Monomial, cap: int) -> tuple:
+    """The contraction coproduct of a basis monomial in left-power buckets:
+    bucket ``k`` holds the splits whose left side has total power ``k``,
+    for every ``k`` up to ``min(cap, mono.total_power)`` and maybe beyond."""
+    return _grown(mono, cap, _DELTA_BY_POWER_CACHE, _binomial_split)
 
 
 def monomial_coproduct(mono: Monomial) -> tuple:
@@ -652,13 +638,13 @@ def monomial_coproduct(mono: Monomial) -> tuple:
     Returns a tuple of ``((left, right), integer_coefficient)`` pairs; the
     coefficients are products of binomials, one per generator occurrence.
     """
-    return _grown(mono, _DELTA_CACHE, _binomial_split)
+    return _grown(mono, 0, _DELTA_CACHE, _binomial_bucket)[0]
 
 
 def monomial_coproduct_prime(mono: Monomial) -> tuple:
     """Partition coproduct of a basis monomial: occurrences go left or right
     wholesale; repeated occurrences produce binomial multiplicities."""
-    return _grown(mono, _DELTA_PRIME_CACHE, _primitive_split)
+    return _grown(mono, 0, _DELTA_PRIME_CACHE, _primitive_split)[0]
 
 
 def monomial_coaction(mono: Monomial) -> tuple:

@@ -15,11 +15,13 @@ combinatorial theory I", 1964), and ``T_R = T o O^`` is ``T`` after the
 exponential ``O^`` of ``O``.  Neither sum is formed partition by
 partition: grouping the partitions by the block ``g L`` of the first
 occurrence ``g`` of ``m = g rest`` gives, over the splits ``(L, R)`` of
-the partition coproduct of ``rest``, the moment-cumulant recursion for
-``T_c`` (Rota and Shen, "On the combinatorics of cumulants", J. Combin.
-Theory A 91, 2000) and ``O^(m) = sum c O(g L) O^(R)`` for ``O^``, one
-product per split.  Products between the ``T(...)`` factors are normal
-products.
+the partition coproduct of ``rest``, one first-block recursion
+``F(m) = head(m) + sign sum_{R != 1} c block(g L) tail(R)``, one product
+per split (:func:`_first_block_map`).  ``T_c`` is ``(T, T_c, T, -1)``, the
+moment-cumulant recursion (Rota and Shen, "On the combinatorics of
+cumulants", J. Combin. Theory A 91, 2000), and ``O^`` is
+``(O, O, O^, +1)`` (Brouder, Fauser, Frabetti and Oeckl, hep-th/0311253).
+Products between the ``T(...)`` factors are normal products.
 The scalar part ``t_c(m)`` has one route, the sum over the connected
 Feynman graphs of ``m`` (:func:`~qftalg.graphs.t_connected_via_graphs`);
 the counit of ``T_c`` is its independent check.
@@ -217,35 +219,44 @@ def _reduced_partition_terms(u: Element):
         yield k, Tensor._raw(k, _poly_dots(by_count[k]))
 
 
-def connected_T(u: Element, strict: bool = True) -> Element:
-    """The connected chronological product on the counit kernel.
-
-    On a monomial ``m = g * rest``, ``g`` its first occurrence, the block of
-    ``g`` in a set partition is ``g * L`` for a split ``(L, R)`` of ``rest``
-    and the other blocks partition ``R``, so ``T(m) = sum c T_c(g L) T(R)``
-    over the partition coproduct of ``rest``.  The term ``R = 1`` is
-    ``T_c(m)`` itself; the others give the recursion
-    ``T_c(m) = T(m) - sum_{R != 1} c T_c(g L) T(R)``.  Each sub-monomial
-    ``g L`` is computed once per call.
-    """
+def _first_block_map(head, block, tail, sign: int):
+    """The memoised map ``F(m) = head(m) + sign sum_{R != 1} c block(g L) tail(R)``
+    over the splits ``(L, R)`` of the partition coproduct of ``rest``, for
+    ``m = g * rest``, ``g`` its first occurrence; a ``block`` or ``tail``
+    of ``None`` is ``F`` itself.  ``head`` is the term ``R = 1`` of a sum
+    over every split.  Each monomial is computed once per map, and ``tail``
+    is read only where ``block`` is not zero."""
     memo: dict[Monomial, Element] = {}
 
-    def connected_monomial(mono: Monomial) -> Element:
+    def first_block(mono: Monomial) -> Element:
         out = memo.get(mono)
         if out is None:
             g, rest = mono.split_first()
             out = memo[mono] = Element._raw(_poly_dots(chain(
-                ((m, 1, 1, coeff) for m, coeff in chronological(mono).terms.items()),
+                ((m, 1, 1, coeff) for m, coeff in head(mono).terms.items()),
                 (
-                    (m1 * m2, -c, c1, c2)
+                    (m1 * m2, sign * c, c1, c2)
                     for (left, right), c in monomial_coproduct_prime(rest)
                     if not right.is_unit
-                    for m1, c1 in connected_monomial(left.append(g)).terms.items()
-                    for m2, c2 in chronological(right).terms.items()
+                    for m1, c1 in block(left.append(g)).terms.items()
+                    for m2, c2 in tail(right).terms.items()
                 ),
             )))
         return out
 
+    block, tail = block or first_block, tail or first_block
+    return first_block
+
+
+def connected_T(u: Element, strict: bool = True) -> Element:
+    """The connected chronological product on the counit kernel.
+
+    On ``m = g * rest``, the block of ``g`` in a set partition is ``g * L``
+    for a split ``(L, R)`` of ``rest``, so ``T(m) = sum c T_c(g L) T(R)``,
+    whose term ``R = 1`` is ``T_c(m)``: ``T_c`` is the first-block map
+    ``(T, T_c, T, -1)``.
+    """
+    connected_monomial = _first_block_map(chronological, None, chronological, -1)
     u = kernel_project(u, strict)
     return _linear_sum((coeff, connected_monomial(mono)) for mono, coeff in u.terms.items())
 
@@ -294,26 +305,12 @@ def renormalized_T(u: Element, vertex: Vertex, strict: bool = True) -> Element:
 
     ``T_R = T o O^``: ``T``, which is linear, applied once to ``O^``, the sum
     over the set partitions of each monomial of the products of the vertex
-    images of the blocks.  On ``m = g * rest``, ``g`` its first occurrence,
-    the block of ``g`` is ``g * L`` for a split ``(L, R)`` of ``rest`` and
-    the other blocks partition ``R``, so ``O^(m) = sum c O(g L) O^(R)`` over
-    the partition coproduct of ``rest``, with ``O^(1) = 1``.  Each
-    sub-monomial ``R`` is computed once per call.
+    images of the blocks.  On ``m = g * rest``, grouped by the block
+    ``g * L`` of ``g``, ``O^(m) = sum c O(g L) O^(R)`` over the splits
+    ``(L, R)`` of ``rest``, whose term ``R = 1`` is ``O(m)``: ``O^`` is the
+    first-block map ``(O, O, O^, +1)``.
     """
-    memo: dict[Monomial, Element] = {Monomial.unit(): Element.one()}
-
-    def vertex_exponential(mono: Monomial) -> Element:
-        out = memo.get(mono)
-        if out is None:
-            g, rest = mono.split_first()
-            out = memo[mono] = Element._raw(_poly_dots(
-                (m1 * m2, c, c1, c2)
-                for (left, right), c in monomial_coproduct_prime(rest)
-                for m1, c1 in vertex.image(left.append(g)).terms.items()
-                for m2, c2 in vertex_exponential(right).terms.items()
-            ))
-        return out
-
+    vertex_exponential = _first_block_map(vertex.image, vertex.image, None, 1)
     u = kernel_project(u, strict)
     return chronological(
         _linear_sum((coeff, vertex_exponential(mono)) for mono, coeff in u.terms.items())

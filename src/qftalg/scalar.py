@@ -262,6 +262,10 @@ class PropPoly:
         and zero exponents drop."""
         acc: dict[PropSymbol, int] = {}
         for sym, exp in powers:
+            # an equal float or bool exponent would be interned in place of
+            # the int one and reach every later lookup of that symbol map
+            if type(exp) is not int:
+                raise ValueError(f"symbol exponents must be integers, got {exp!r}")
             if exp < 0:
                 raise ValueError("symbol exponents must be nonnegative")
             if exp:

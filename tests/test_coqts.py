@@ -294,20 +294,39 @@ class TestPowerCap:
         assert [len(table[k]) for k in sorted(walked)] == [8, 6, 4]
 
     def test_walk_is_not_a_recursion_per_factor(self, monkeypatch):
-        # 100 distinct points: a walk that recursed once per factor would
-        # pass the limit set 40 frames above the current depth
-        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", {})
-        m = Monomial.from_occurrences(Generator(f"p{i:03}", 1) for i in range(100))
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 40)
-        try:
-            buckets = hopf._graded_coproduct(m, 1)
-        finally:
-            sys.setrecursionlimit(limit)
-        assert [len(b) for b in buckets] == [1, 100]
+        # for each reader, the least recursion limit under which the walk of
+        # 4 distinct points returns serves 14 or 100 points too, up to the
+        # nested C comparisons of factor tuples that some interpreters count
+        # against the limit (at most 4 levels: factors, pair, Generator,
+        # str); a walk that recursed once per factor would need 10 or 96
+        # frames more
+        def least_limit(read, points):
+            m = Monomial.from_occurrences(Generator(f"p{i:03}", 1) for i in range(points))
+            read(m)  # fills the per-generator caches, so each search starts alike
+            saved = sys.getrecursionlimit()
+            for limit in itertools.count(1):
+                for table in ("_DELTA_CACHE", "_DELTA_PRIME_CACHE", "_DELTA_BY_POWER_CACHE"):
+                    monkeypatch.setattr(hopf, table, {})
+                try:
+                    sys.setrecursionlimit(limit)  # below the current depth it raises
+                    out = read(m)
+                    return limit, out
+                except RecursionError:
+                    pass
+                finally:
+                    sys.setrecursionlimit(saved)
+
+        readers = [
+            (lambda m: [len(b) for b in hopf._graded_coproduct(m, 1)], 100, [1, 100]),
+            # a flat coproduct of n distinct points has 2^n splits
+            (lambda m: len(hopf.monomial_coproduct(m)), 14, 2 ** 14),
+            (lambda m: len(hopf.monomial_coproduct_prime(m)), 14, 2 ** 14),
+        ]
+        for read, points, expected in readers:
+            base, _ = least_limit(read, 4)
+            limit, out = least_limit(read, points)
+            assert limit <= base + 4
+            assert out == expected
 
     @pytest.mark.parametrize("mode", BOTH_MODES)
     def test_pairs_the_cap_prunes_against_tables(self, mode):

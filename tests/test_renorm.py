@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -593,3 +594,24 @@ def test_partition_sums_form_no_polynomial_product_of_their_own(monkeypatch):
     monkeypatch.setattr(PropPoly, "__mul__", refuse)
     monkeypatch.setattr(PropPoly, "__rmul__", refuse)
     assert (connected_T(u), renormalized_T(u, vertex)) == expected
+
+
+def test_first_block_map_reads_each_monomial_once(monkeypatch):
+    # T_c and O^ share one memoised first-block map: within one call no
+    # monomial's partition coproduct is read twice
+    m = mono(*[("x", 1)] * 4, ("y", 2), ("y", 2), ("z", 1))
+    u = Element.from_monomial(m)
+    reads = Counter()
+    read = renorm.monomial_coproduct_prime
+
+    def counted(rest):
+        reads[rest] += 1
+        return read(rest)
+
+    monkeypatch.setattr(renorm, "monomial_coproduct_prime", counted)
+    for call, distinct in ((lambda: connected_T(u), 24),
+                           (lambda: renormalized_T(u, identity_vertex()), 7)):
+        reads.clear()
+        call()
+        assert len(reads) == distinct
+        assert set(reads.values()) == {1}

@@ -117,6 +117,20 @@ class TestConstructor:
         with pytest.raises(ValueError):
             PropPoly({((self.s, -1),): 5})
 
+    @pytest.mark.parametrize("exponent", [2.0, 1.5, True, Fraction(2)])
+    def test_exponent_that_is_not_an_int_rejected(self, exponent):
+        with pytest.raises(ValueError, match="symbol exponents must be integers"):
+            PropPoly.symbol(self.s, exponent)
+        with pytest.raises(ValueError, match="symbol exponents must be integers"):
+            PropPoly({((self.t, exponent),): 1})
+
+    def test_rejected_float_exponent_is_not_interned(self):
+        # an equal float exponent, once interned, printed in every later
+        # polynomial with that symbol map
+        with pytest.raises(ValueError):
+            PropPoly.symbol(D("fx", "fy"), 2.0)
+        assert str(parse("D(fx,fy)^2")) == "D(fx,fy)^2"
+
 
 def test_frac_str_round_trip():
     assert frac_str(Fraction(2)) == "2/1"
