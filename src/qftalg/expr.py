@@ -10,6 +10,7 @@ Grammar (whitespace-insensitive)::
              | ('D' | 'Dplus') '(' point ',' point ')' ['^' exponent]
              | '(' expr ')'
     point   := [A-Za-z][A-Za-z0-9_]*
+    INT     := [0-9]+
 
 ``phi^0(x)`` normalizes to the unit.  Propagator atoms exist so that every
 string the pretty-printers emit parses back to an equal element.  Parse
@@ -30,7 +31,7 @@ from .scalar import D, Dplus, PropPoly
 
 #: the ``point`` rule of the grammar; the vertex-file reader checks labels by it
 _POINT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_TOKEN_RE = re.compile(rf"(?P<INT>\d+)|(?P<NAME>{_POINT_RE.pattern})|(?P<OP>[-+*/^(),])")
+_TOKEN_RE = re.compile(rf"(?P<INT>[0-9]+)|(?P<NAME>{_POINT_RE.pattern})|(?P<OP>[-+*/^(),])")
 _WS_RE = re.compile(r"\s+")
 
 

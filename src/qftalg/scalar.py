@@ -307,11 +307,8 @@ class PropPoly:
         return PropPoly._raw({s: -c for s, c in self._terms.items()})
 
     def __sub__(self, other):
-        if type(other) is not PropPoly:
-            if isinstance(other, (int, Fraction)):
-                other = PropPoly.constant(other)
-            elif not isinstance(other, PropPoly):
-                return NotImplemented
+        if type(other) is not PropPoly and not isinstance(other, (int, Fraction, PropPoly)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -418,7 +415,8 @@ def _poly_dots(entries: Iterable[tuple]) -> dict:
     and ``b`` a :class:`PropPoly`.
 
     This is the one multiply-accumulate of the ring, behind every product
-    and sum of polynomials, and it does no ``Fraction`` arithmetic.  Each
+    and sum of polynomials, and it does no ``Fraction`` arithmetic.  A
+    rational ``a`` joins the weight, so one loop serves every entry.  Each
     key sums ``int`` numerators over one running denominator ``den``,
     starting at 1.  A term product ``n/d`` is read from the integer parts
     of ``k``, ``a`` and ``b`` (``numerator`` and ``denominator``; an
@@ -426,12 +424,14 @@ def _poly_dots(entries: Iterable[tuple]) -> dict:
     not divide ``den`` first raises ``den`` to ``lcm(den, d)`` and rescales
     that key's numerators once.  The denominators are products of the
     inputs' small denominators, so ``den`` changes only a few times per
-    key.  Only at the end is each coefficient reduced, by one gcd, and
-    stored as an ``int`` when integral and a ``Fraction`` otherwise;
-    cancelled terms and keys whose sum is zero are dropped.  No polynomial
-    is built per entry.  The product of two symbol monomials is looked up
-    by their ids, smaller id first, in ``_SYMMAP_PRODUCT_CACHE``; only a
-    pair not seen in either order is merged.
+    key.  A term is dropped where its sum reaches zero, and a zero product
+    is never stored, so each key's accumulator becomes the result's
+    storage: only at the end is each coefficient reduced, by one gcd, and
+    stored as an ``int`` when integral and a ``Fraction`` otherwise; a key
+    with no term left is dropped.  No polynomial is built per entry.  The
+    product of two symbol monomials is looked up by their ids, smaller id
+    first, in ``_SYMMAP_PRODUCT_CACHE``; only a pair not seen in either
+    order is merged.
     """
     accs: dict = {}
     dens: dict = {}  # the running denominator of each key that has one above 1
@@ -448,26 +448,8 @@ def _poly_dots(entries: Iterable[tuple]) -> dict:
             kn, kd = k, 1
         else:
             kn, kd = k.numerator, k.denominator
-        # a rational a gets its own loop over b: read as the one-term
-        # polynomial ((0, a),) it made the law checks, whose entries are
-        # mostly integers, a few per cent slower
         if not isinstance(a, PropPoly):
-            if type(a) is int:
-                n1, d1 = kn * a, kd
-            else:
-                n1, d1 = kn * a.numerator, kd * a.denominator
-            for s, c in b._terms.items():
-                if type(c) is int:
-                    n, d = n1 * c, d1
-                else:
-                    n, d = n1 * c.numerator, d1 * c.denominator
-                if d != den:
-                    if den % d:
-                        den = dens[key] = _rescaled(acc, den, d)
-                    n *= den // d
-                old = get(s)
-                acc[s] = n if old is None else old + n
-            continue
+            kn, kd, a = kn * a.numerator, kd * a.denominator, _ONE
         for s1, c1 in a._terms.items():
             if type(c1) is int:
                 n1, d1 = kn * c1, kd
@@ -495,16 +477,17 @@ def _poly_dots(entries: Iterable[tuple]) -> dict:
                         den = dens[key] = _rescaled(acc, den, d)
                     n *= den // d
                 old = get(s)
-                acc[s] = n if old is None else old + n
+                if old is not None:
+                    n += old
+                if n:
+                    acc[s] = n
+                elif old is not None:
+                    del acc[s]
     for key, den in dens.items():
         acc = accs[key]
         for s, n in acc.items():
             acc[s] = n // den if n % den == 0 else Fraction(n, den)
-    return {
-        key: PropPoly._raw(terms)
-        for key, acc in accs.items()
-        if (terms := {s: c for s, c in acc.items() if c})
-    }
+    return {key: PropPoly._raw(acc) for key, acc in accs.items() if acc}
 
 
 def _rescaled(acc: dict, den: int, d: int) -> int:

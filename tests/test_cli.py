@@ -454,6 +454,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: bad expression: zero denominator at offset 2\n"
 
+    def test_non_ascii_digits_are_a_syntax_error(self):
+        # the grammar's integers are ASCII, as in the vertex-file reader; these
+        # are Arabic-Indic digits, which `\d` matched
+        cases = [
+            (("counit", "--expr", "\u0663"), "unexpected character '\u0663' at offset 0"),
+            (("counit", "--expr", "\u0662/\u0663"), "unexpected character '\u0662' at offset 0"),
+            (("delta", "--expr", "phi^\u0662(x)"), "unexpected character '\u0662' at offset 4"),
+        ]
+        for argv, message in cases:
+            assert run_cli(*argv) == (2, "", f"error: bad expression: {message}\n")
+
     def test_malformed_vertex_files(self, tmp_path):
         source = [{"point": "x", "power": 1, "mult": 1}]
         target = [{"point": "x", "power": 1, "coeff": "1/1"}]

@@ -341,6 +341,16 @@ class TestWeightedPolyDots:
         ("j", Fraction(-2, 3), False, PropPoly.one()),
         ("j", Fraction(-2, 3), True, PropPoly.constant(Fraction(5, 7))),
     ])
+    # under "k" the term d is added and cancelled, 1/3 raises the key's
+    # denominator, and d returns with weight 1/2, which rescales it again;
+    # under "j" a zero a stores nothing
+    @example([
+        ("k", 1, PropPoly.symbol(D(X, Y)), PropPoly.one()),
+        ("k", -1, 1, PropPoly.symbol(D(X, Y))),
+        ("k", 1, Fraction(1, 3), PropPoly.symbol(D(X, Z))),
+        ("k", Fraction(1, 2), PropPoly.symbol(D(X, Y)), PropPoly.one()),
+        ("j", 3, Fraction(0), PropPoly.symbol(D(X, Y))),
+    ])
     def test_matches_a_fraction_reference(self, drawn):
         got = _poly_dots(drawn)
         assert {key: p.terms for key, p in got.items()} == reference_dots(drawn)
