@@ -14,21 +14,24 @@ The twisted product ``u o v = sum R(u', v') u'' v''`` deforms the normal
 product by propagator contractions; with the symmetric symbols it is
 commutative and fold-generates the chronological product.  It extends
 bilinearly from basis monomials, pairing only equal-power parts of their
-coproducts; a split whose left power exceeds the smaller total power of
-the two monomials has no partner, so each coproduct is read in left-power
-buckets built only up to that power (``hopf._graded_coproduct``, which
-the bicharacter reads too).  The twisted product, the bicharacter and the
-expansions ``sum scalar(u')u''`` are each one call of the ring's weighted
-multiply-accumulate (``scalar._poly_dots``): every split pair is one entry
-``(output monomial, integer weight, pairing value, coefficient)``, so no
-polynomial or element is built per split pair and this module never reads
-how a :class:`~qftalg.scalar.PropPoly` stores its terms.
+coproducts; a split whose left power exceeds the other operand's top
+total power has no partner, so each monomial's coproduct is read once per
+product, in left-power buckets built only up to that power
+(``hopf._graded_coproduct``, which the bicharacter reads too).  The
+twisted product, the bicharacter and the expansions ``sum scalar(u')u''``
+are each one call of the ring's weighted multiply-accumulate
+(``scalar._poly_dots``): every split pair is one entry ``(output monomial,
+integer weight, pairing value, coefficient)``, so no polynomial or element
+is built per split pair and this module never reads how a
+:class:`~qftalg.scalar.PropPoly` stores its terms.
 
 Bicharacter values of monomial pairs are memoised in a dict, ``_R_CACHE``,
 keyed on the pair and the mode read as its propagator (``_symbol``); the
-chronological product of a basis monomial by ``functools.cache``.
-Entries are idempotent, so concurrent reads/writes are benign and results
-do not depend on evaluation order.
+twisted product reads it inline and calls the bicharacter only on a miss,
+and the bicharacter pairs each peeled generator through it too.  The
+chronological product of a basis monomial is memoised by
+``functools.cache``.  Entries are idempotent, so concurrent reads/writes
+are benign and results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -86,7 +89,8 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
 
     Peels the first generator ``g`` off ``u``:
     ``R(g * rest, v) = sum R(g, v') R(rest, v'')`` over the splits of ``v``
-    whose ``v'`` has the power of ``g``, each ``R(g, v')`` in closed form;
+    whose ``v'`` has the power of ``g``, each ``R(g, v')`` read through the
+    table, so its closed form runs once per distinct ``(g, v')``;
     ``R(1, v) = counit(v)``.
     """
     sym = _symbol(mode)  # a bad mode raises before any short-cut
@@ -105,8 +109,9 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
         # closed form: a single generator never builds the coproduct of v
         result = _r_generator(g, v, sym)
     else:
+        single = Monomial._raw(((g, 1),))
         result = _poly_dots(
-            (None, c, _r_generator(g, v1, sym), r_bicharacter(rest, v2, mode))
+            (None, c, r_bicharacter(single, v1, mode), r_bicharacter(rest, v2, mode))
             for (v1, v2), c in _graded_coproduct(v, g.power)[g.power]
         ).get(None, PropPoly.zero())
     _R_CACHE[key] = result
@@ -123,20 +128,27 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     ``mv`` and every pair of equal-power splits ``(a1, a2)``, ``(b1, b2)``
     of their coproducts: ``a2 b2`` gains ``ca cb R(a1, b1) pu pv``, with the
     product ``pu pv`` of the two coefficients formed once per monomial pair.
-    A split power above the smaller total power of ``mu`` and ``mv`` has no
-    partner, so each coproduct is read in left-power buckets up to that cap:
-    the monomial of that power has ``cap + 1`` of them, where ``zip`` stops.
+    A split power above the other operand's top total power has no partner,
+    so each monomial's coproduct is read once, in left-power buckets up to
+    that power; a monomial of power ``P`` has at most ``P + 1`` of them, so
+    ``zip`` still stops after the bucket of the smaller power of ``mu`` and
+    ``mv``.  Each ``R(a1, b1)`` is read from ``_R_CACHE`` in the loop: in
+    an equal-power bucket the bicharacter's power and unit checks are
+    redundant.
     """
-    _symbol(mode)  # a bad mode raises even when there is nothing to pair
-    pairs = [
-        (_graded_coproduct(mu, cap), _graded_coproduct(mv, cap), pu * pv)
-        for mu, pu in u.terms.items()
-        for mv, pv in v.terms.items()
-        for cap in (min(mu.total_power, mv.total_power),)
-    ]
+    sym = _symbol(mode)  # a bad mode raises even when there is nothing to pair
+    top_u = max((mu.total_power for mu in u.terms), default=0)
+    top_v = max((mv.total_power for mv in v.terms), default=0)
+    graded_u = [(_graded_coproduct(mu, top_v), pu) for mu, pu in u.terms.items()]
+    graded_v = [(_graded_coproduct(mv, top_u), pv) for mv, pv in v.terms.items()]
+    # a stored pairing has positive coefficients, so it is never zero and
+    # ``or`` reaches r_bicharacter only on a miss (or a pair of units)
+    get = _R_CACHE.get
     return Element._raw(_poly_dots(
-        (a2 * b2, ca * cb, r_bicharacter(a1, b1, mode), p)
-        for du, dv, p in pairs
+        (a2 * b2, ca * cb, get((a1, b1, sym)) or r_bicharacter(a1, b1, mode), p)
+        for du, pu in graded_u
+        for dv, pv in graded_v
+        for p in (pu * pv,)
         for left_terms, right_terms in zip(du, dv)
         for (a1, a2), ca in left_terms
         for (b1, b2), cb in right_terms

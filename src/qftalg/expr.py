@@ -1,6 +1,6 @@
-"""Surface syntax for elements.
+r"""Surface syntax for elements.
 
-Grammar (whitespace-insensitive)::
+Grammar (ASCII whitespace ``[ \t\n\r\f\v]+`` between tokens is skipped)::
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
@@ -32,7 +32,7 @@ from .scalar import D, Dplus, PropPoly
 #: the ``point`` rule of the grammar; the vertex-file reader checks labels by it
 _POINT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(rf"(?P<INT>[0-9]+)|(?P<NAME>{_POINT_RE.pattern})|(?P<OP>[-+*/^(),])")
-_WS_RE = re.compile(r"\s+")
+_WS_RE = re.compile(r"[ \t\n\r\f\v]+")
 
 
 def _tokenize(text: str):

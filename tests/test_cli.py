@@ -465,6 +465,15 @@ class TestExitCodes:
         for argv, message in cases:
             assert run_cli(*argv) == (2, "", f"error: bad expression: {message}\n")
 
+    def test_non_ascii_whitespace_is_a_syntax_error(self):
+        # the grammar skips ASCII whitespace only; `\s` skipped any Unicode
+        # space, so an ideographic space between tokens read as a blank.
+        # The message names the character by its repr, as for any other
+        assert run_cli("counit", "--expr", "1\u3000+ 2") == (
+            2, "", "error: bad expression: unexpected character '\\u3000' at offset 1\n"
+        )
+        assert run_cli("counit", "--expr", "1 +\t2\n*\r\f\v3") == (0, "7\n", "")
+
     def test_malformed_vertex_files(self, tmp_path):
         source = [{"point": "x", "power": 1, "mult": 1}]
         target = [{"point": "x", "power": 1, "coeff": "1/1"}]

@@ -336,6 +336,63 @@ class TestPowerCap:
                 assert got == twisted_tables(u, v, mode), (str(u), str(v))
 
 
+class TestTableReads:
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_one_closed_form_per_distinct_pair(self, mode, monkeypatch):
+        # R(g * rest, v) pairs the peeled g with each v' through the table, so
+        # the closed form runs once per distinct (g, v'), not once per split
+        # that meets it again under another rest or another v
+        monkeypatch.setattr(coqts, "_R_CACHE", {})
+        calls = []
+        closed_form = coqts._r_generator
+
+        def counting(g, v, sym):
+            calls.append((g, v, sym))
+            return closed_form(g, v, sym)
+
+        monkeypatch.setattr(coqts, "_r_generator", counting)
+        monos = [m for e in exhaustive_monomials(3, 2) for m in e.terms if m.size > 1]
+        for u, v in itertools.product(monos, repeat=2):
+            if u.total_power == v.total_power:
+                r_bicharacter(u, v, mode)
+        # 36 distinct pairs here, met in 3,714 splits
+        assert calls and len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_one_coproduct_read_per_monomial(self, mode, monkeypatch):
+        # each monomial's buckets are read once, at the other operand's top
+        # power; the table ends as the two reads per monomial pair, each at
+        # the pair's smaller power, left it
+        u = Element.from_monomial(mono(("x", 2))) + Element.from_monomial(
+            mono(("x", 1), ("y", 2), ("z", 2)), Fraction(-1, 2)
+        )
+        v = (
+            Element.from_monomial(mono(("y", 3)), Fraction(2, 3))
+            + Element.from_monomial(mono(("x", 1), ("z", 1), ("z", 2)))
+            + Element.from_monomial(mono(("y", 1), ("y", 2), ("z", 3)), Fraction(5))
+        )
+        expected = twisted_product(u, v, mode)  # every pairing is now in the R table
+        table = {}
+        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", table)
+        reads = []
+        graded = hopf._graded_coproduct
+
+        def counting(m, cap):
+            reads.append(m)
+            return graded(m, cap)
+
+        monkeypatch.setattr(coqts, "_graded_coproduct", counting)
+        assert twisted_product(u, v, mode) == expected
+        assert len(reads) == len(u.terms) + len(v.terms)
+        pairwise = {}
+        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", pairwise)
+        for mu, mv in itertools.product(u.terms, v.terms):
+            cap = min(mu.total_power, mv.total_power)
+            graded(mu, cap)
+            graded(mv, cap)
+        assert table == pairwise
+
+
 # sha256 of str(u o v), one line per product, over every ordered pair of
 # the 55 monomials of exhaustive_monomials(2, 3), each with its own rational
 # coefficient; written from an earlier coproduct walk, so a change to how
