@@ -91,24 +91,24 @@ def r_bicharacter(u: Monomial, v: Monomial, mode: RMode) -> PropPoly:
     ``R(g * rest, v) = sum R(g, v') R(rest, v'')`` over the splits of ``v``
     whose ``v'`` has the power of ``g``, each ``R(g, v')`` read through the
     table, so its closed form runs once per distinct ``(g, v')``;
-    ``R(1, v) = counit(v)``.
+    ``R(1, v) = counit(v)``, stored like any other pairing.
     """
     sym = _symbol(mode)  # a bad mode raises before any short-cut
     # power balance: the generator pairing is diagonal, so mismatched total
     # powers never contract completely (a unit against a non-unit included)
     if u.total_power != v.total_power:
         return PropPoly.zero()
-    if u.is_unit:
-        return PropPoly.one()
     key = (u, v, sym)
     cached = _R_CACHE.get(key)
     if cached is not None:
         return cached
-    g, rest = u.split_first()
-    if rest.is_unit:
+    if u.is_unit:
+        result = PropPoly.one()
+    elif u.size == 1:
         # closed form: a single generator never builds the coproduct of v
-        result = _r_generator(g, v, sym)
+        result = _r_generator(u.factors[0][0], v, sym)
     else:
+        g, rest = u.split_first()
         single = Monomial._raw(((g, 1),))
         result = _poly_dots(
             (None, c, r_bicharacter(single, v1, mode), r_bicharacter(rest, v2, mode))
@@ -133,8 +133,8 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     that power; a monomial of power ``P`` has at most ``P + 1`` of them, so
     ``zip`` still stops after the bucket of the smaller power of ``mu`` and
     ``mv``.  Each ``R(a1, b1)`` is read from ``_R_CACHE`` in the loop: in
-    an equal-power bucket the bicharacter's power and unit checks are
-    redundant.
+    an equal-power bucket the bicharacter's power check is redundant, and
+    the pair of units in bucket 0 is stored like any other pairing.
     """
     sym = _symbol(mode)  # a bad mode raises even when there is nothing to pair
     top_u = max((mu.total_power for mu in u.terms), default=0)
@@ -142,7 +142,7 @@ def twisted_product(u: Element, v: Element, mode: RMode = RMode.CHRONOLOGICAL) -
     graded_u = [(_graded_coproduct(mu, top_v), pu) for mu, pu in u.terms.items()]
     graded_v = [(_graded_coproduct(mv, top_u), pv) for mv, pv in v.terms.items()]
     # a stored pairing has positive coefficients, so it is never zero and
-    # ``or`` reaches r_bicharacter only on a miss (or a pair of units)
+    # ``or`` reaches r_bicharacter only on a miss
     get = _R_CACHE.get
     return Element._raw(_poly_dots(
         (a2 * b2, ca * cb, get((a1, b1, sym)) or r_bicharacter(a1, b1, mode), p)

@@ -32,11 +32,11 @@ makes sure no monomial is ever built twice, also under threads.
 
 All values are immutable and all operations pure.  Products and antipodes
 of monomials are memoised by ``functools.cache``.  The coproducts are
-memoised in dicts filled by one walk, :func:`_grown`, which also stores
-each monomial it grows from: the two flat coproducts in one bucket each,
-and the contraction coproduct a second time in left-power buckets up to
-a cap, for the twisted product and the bicharacter.  Every entry is
-idempotent, so concurrent use is safe.
+memoised in two dicts filled by one walk, :func:`_grown`, which also
+stores each monomial it grows from: the contraction coproduct in
+left-power buckets up to a cap, one table for every reader of it, and the
+partition coproduct in one bucket.  Every entry is idempotent, so
+concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -607,29 +607,23 @@ def _binomial_split(gen: Generator) -> tuple:
     return tuple(((powers[k], powers[n - k], comb(n, k)),) for k in range(n + 1))
 
 
-def _binomial_bucket(gen: Generator) -> tuple:
-    """The binomial splits of ``gen`` in one bucket."""
-    return (tuple(chain.from_iterable(_binomial_split(gen))),)
-
-
 def _primitive_split(gen: Generator) -> tuple:
     """``g -> g (x) 1 + 1 (x) g``, in one bucket."""
     return (((gen, None, 1), (None, gen, 1)),)
 
 
-# dicts: _grown stores every rest it walks past; wickbench/tracer.py reads
-# the two flat ones, each entry a single bucket
+# dicts: _grown stores every rest it walks past, the contraction coproduct
+# in left-power buckets up to the highest cap asked of it, the partition
+# coproduct in one bucket; wickbench/tracer.py reads the length of both
 _DELTA_CACHE: dict[Monomial, tuple] = {}
 _DELTA_PRIME_CACHE: dict[Monomial, tuple] = {}
-# monomial -> its left-power buckets up to the highest cap asked of it
-_DELTA_BY_POWER_CACHE: dict[Monomial, tuple] = {}
 
 
 def _graded_coproduct(mono: Monomial, cap: int) -> tuple:
     """The contraction coproduct of a basis monomial in left-power buckets:
     bucket ``k`` holds the splits whose left side has total power ``k``,
     for every ``k`` up to ``min(cap, mono.total_power)`` and maybe beyond."""
-    return _grown(mono, cap, _DELTA_BY_POWER_CACHE, _binomial_split)
+    return _grown(mono, cap, _DELTA_CACHE, _binomial_split)
 
 
 def monomial_coproduct(mono: Monomial) -> tuple:
@@ -638,7 +632,7 @@ def monomial_coproduct(mono: Monomial) -> tuple:
     Returns a tuple of ``((left, right), integer_coefficient)`` pairs; the
     coefficients are products of binomials, one per generator occurrence.
     """
-    return _grown(mono, 0, _DELTA_CACHE, _binomial_bucket)[0]
+    return tuple(chain.from_iterable(_graded_coproduct(mono, mono.total_power)))
 
 
 def monomial_coproduct_prime(mono: Monomial) -> tuple:
@@ -709,19 +703,18 @@ def kernel_project(u: Element, strict: bool) -> Element:
     return u - Element.scalar(eps)
 
 
-def _nontrivial(splits: tuple) -> tuple:
-    """The splits whose two sides both differ from 1."""
-    return tuple((pair, c) for pair, c in splits if not pair[0].is_unit and not pair[1].is_unit)
-
-
 def monomial_reduced_prime(mono: Monomial) -> tuple:
     """Partition coproduct with the two trivial splits removed (mono != 1)."""
-    return _nontrivial(monomial_coproduct_prime(mono))
+    return tuple(
+        (pair, c) for pair, c in monomial_coproduct_prime(mono)
+        if not pair[0].is_unit and not pair[1].is_unit
+    )
 
 
 def monomial_reduced(mono: Monomial) -> tuple:
-    """Contraction coproduct with the two trivial splits removed (mono != 1)."""
-    return _nontrivial(monomial_coproduct(mono))
+    """Contraction coproduct with the two trivial splits removed (mono != 1):
+    left power 0 has left side 1, and the whole power right side 1."""
+    return tuple(chain.from_iterable(_graded_coproduct(mono, mono.total_power)[1:-1]))
 
 
 def reduced_prime(u: Element, strict: bool = True) -> Tensor:

@@ -104,8 +104,7 @@ def test_proppoly_representation_is_private():
 def test_coproduct_walks_are_private_to_hopf():
     # the coproduct tables and the walks that fill them live in hopf.py;
     # every other module reads a coproduct through a function of hopf
-    private = ("_grown", "_binomial_split", "_DELTA_CACHE", "_DELTA_PRIME_CACHE",
-               "_DELTA_BY_POWER_CACHE")
+    private = ("_grown", "_binomial_split", "_DELTA_CACHE", "_DELTA_PRIME_CACHE")
     for path in sorted(Path(qftalg.__file__).parent.glob("*.py")):
         if path.name == "hopf.py":
             continue
@@ -142,7 +141,7 @@ def test_accumulate_is_called_only_at_the_merges():
 # keep each monomial they grow from), keys on a reduced argument (the
 # bicharacter reads its mode as its propagator) or interns under a lock.
 CACHE_DICTS = {
-    "coqts._R_CACHE", "hopf._DELTA_BY_POWER_CACHE", "hopf._DELTA_CACHE", "hopf._DELTA_PRIME_CACHE",
+    "coqts._R_CACHE", "hopf._DELTA_CACHE", "hopf._DELTA_PRIME_CACHE",
     "hopf._MONOMIAL_CACHE", "scalar._SYMMAP_CACHE", "scalar._SYMMAP_PRODUCT_CACHE",
 }
 CACHED_FUNCTIONS = {

@@ -591,7 +591,7 @@ class TestExitCodes:
         # the power-graded coproduct of the left side walks down one factor
         # of multiplicity 1200 and grows it back at cap 1; grown by a
         # recursion per occurrence, that walk exceeded the interpreter's limit
-        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", {})
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", {})
         lhs = "*".join(["phi(x)"] * 1200)
         expected = (
             "1200*D(x,y)*" + "*".join(["phi(x)"] * 1199) + " + "

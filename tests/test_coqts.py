@@ -98,7 +98,7 @@ class TestRBicharacter:
         # of v instead, t of phi^1700(x)*phi^1700(y) built the coproduct of
         # every phi^k(y) and took tens of seconds
         table = {}
-        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", table)
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", table)
         g = mono(("x40", 40))
         assert r_bicharacter(g, mono(("y40", 40)), mode)
         assert r_bicharacter(g, mono(("y40", 20), ("z40", 20)), mode)
@@ -268,7 +268,7 @@ class TestPowerCap:
             ]
             caps = range(m.total_power + 1)
             for order in (reversed(caps), caps):
-                monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", {})
+                monkeypatch.setattr(hopf, "_DELTA_CACHE", {})
                 for cap in order:
                     buckets = hopf._graded_coproduct(m, cap)
                     assert cap < len(buckets) <= m.total_power + 1, (str(m), cap)
@@ -279,7 +279,7 @@ class TestPowerCap:
         # a lower cap reads a prefix of the entry a higher cap stored, and a
         # higher cap replaces it: never one entry per (monomial, cap)
         table = {}
-        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", table)
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", table)
         m = mono(("x", 2), ("y", 1), ("y", 1), ("z", 3))
         walked = {m, mono(("y", 1), ("y", 1), ("z", 3)), mono(("z", 3))}
         hopf._graded_coproduct(m, 3)
@@ -305,7 +305,7 @@ class TestPowerCap:
             read(m)  # fills the per-generator caches, so each search starts alike
             saved = sys.getrecursionlimit()
             for limit in itertools.count(1):
-                for table in ("_DELTA_CACHE", "_DELTA_PRIME_CACHE", "_DELTA_BY_POWER_CACHE"):
+                for table in ("_DELTA_CACHE", "_DELTA_PRIME_CACHE"):
                     monkeypatch.setattr(hopf, table, {})
                 try:
                     sys.setrecursionlimit(limit)  # below the current depth it raises
@@ -373,7 +373,7 @@ class TestTableReads:
         )
         expected = twisted_product(u, v, mode)  # every pairing is now in the R table
         table = {}
-        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", table)
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", table)
         reads = []
         graded = hopf._graded_coproduct
 
@@ -385,12 +385,88 @@ class TestTableReads:
         assert twisted_product(u, v, mode) == expected
         assert len(reads) == len(u.terms) + len(v.terms)
         pairwise = {}
-        monkeypatch.setattr(hopf, "_DELTA_BY_POWER_CACHE", pairwise)
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", pairwise)
         for mu, mv in itertools.product(u.terms, v.terms):
             cap = min(mu.total_power, mv.total_power)
             graded(mu, cap)
             graded(mv, cap)
         assert table == pairwise
+
+    @pytest.mark.parametrize("mode", BOTH_MODES)
+    def test_a_warm_table_makes_no_bicharacter_call(self, mode, monkeypatch):
+        # the pair of units in bucket 0 is stored like any other pairing, so
+        # a repeated product reads every R(a1, b1) from the table
+        u = Element.from_monomial(mono(("x", 2), ("y", 1))) + Element.from_monomial(
+            mono(("z", 1)), Fraction(1, 2)
+        )
+        v = Element.from_monomial(mono(("w", 3))) + Element.from_monomial(
+            mono(("x", 1), ("w", 1)), Fraction(3)
+        )
+        expected = twisted_product(u, v, mode)
+        calls = []
+        bicharacter = coqts.r_bicharacter
+
+        def counting(a, b, m):
+            calls.append((a, b))
+            return bicharacter(a, b, m)
+
+        monkeypatch.setattr(coqts, "r_bicharacter", counting)
+        assert twisted_product(u, v, mode) == expected
+        assert calls == []
+
+
+class RecordingTable(dict):
+    """A coproduct table that records the key of every store."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    def __setitem__(self, key, value):
+        self.stores.append(key)
+        super().__setitem__(key, value)
+
+
+class TestOneContractionTable:
+    def test_every_reader_reads_the_entry_a_twisted_product_stored(self, monkeypatch):
+        # a twisted product at cap 1 stores the low buckets of m in the one
+        # contraction table; coproduct(u) regrows that entry to every bucket
+        # and replaces it, and from then on every reader reads what it stored
+        m = mono(("ot", 2), ("ou", 1), ("ou", 1), ("ov", 3))
+        u, v = Element.from_monomial(m), Element.from_monomial(mono(("ow", 1)))
+        table = RecordingTable()
+        monkeypatch.setattr(hopf, "_DELTA_CACHE", table)
+
+        def other_tables():
+            return {
+                name: len(value) for name, value in vars(hopf).items()
+                if name.startswith("_DELTA") and value is not table
+            }
+
+        others = other_tables()
+        twisted_product(u, v)
+        low = table[m]
+        assert len(low) == 2
+        keys = set(table)
+        hopf.coproduct(u)
+        stored = table[m]
+        assert stored is not low and len(stored) == m.total_power + 1
+        assert stored[:2] == low
+        assert table.stores.count(m) == 2 and set(table) == keys
+        readers = [
+            lambda: hopf.coproduct(u),
+            lambda: hopf.monomial_coproduct(m),
+            lambda: hopf.monomial_reduced(m),
+            lambda: hopf.coaction(u),
+            lambda: hopf.antipode(u),
+            lambda: twisted_product(u, u),
+        ]
+        for read in readers:
+            read()
+        for k in range(m.total_power + 2):
+            assert hopf._graded_coproduct(m, k) is stored
+        assert table[m] is stored and table.stores.count(m) == 2
+        assert other_tables() == others
 
 
 # sha256 of str(u o v), one line per product, over every ordered pair of

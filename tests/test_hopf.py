@@ -28,6 +28,7 @@ from qftalg.hopf import (
     counit,
     monomial_coproduct,
     monomial_coproduct_prime,
+    monomial_reduced,
     normal_product,
     normalize,
     reduced_prime,
@@ -744,6 +745,32 @@ class TestCoproductGrowth:
             mono(("z", 1)),
         }
 
+
+
+
+class TestReducedCoproduct:
+    """The reduced contraction coproduct reads the buckets between left
+    power 0 and the whole power: the same splits as dropping, from the
+    flat coproduct, every split with a side equal to 1."""
+
+    members = [m for u in exhaustive_monomials(3, 3) for m in u.terms] + REPEATED_GENERATORS
+
+    @staticmethod
+    def nontrivial(splits):
+        return tuple(
+            (pair, c) for pair, c in splits if not pair[0].is_unit and not pair[1].is_unit
+        )
+
+    def test_cold_and_warm(self, monkeypatch):
+        for m in self.members:
+            monkeypatch.setattr(hopf, "_DELTA_CACHE", {})
+            cold = monomial_reduced(m)
+            expected = self.nontrivial(monomial_coproduct(m))
+            assert cold == expected, str(m)
+            assert monomial_reduced(m) == expected, str(m)
+
+    def test_unit(self):
+        assert monomial_reduced(UNIT) == ()
 
 
 class TestInterning:
